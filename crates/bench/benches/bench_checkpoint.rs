@@ -1,10 +1,7 @@
-//! Checkpoint encoding benchmarks: full JSON vs full binary (v3)
-//! snapshots at T = 10⁵, the incremental delta append, and the
-//! copy-resume vs mmap-view read path.
+//! Checkpoint encoding benchmarks: the full binary (v3) snapshot at
+//! T = 10⁵, the incremental delta append, and the copy-resume vs
+//! mmap-view read path.
 //!
-//! * `ckpt/json_snapshot` — pretty-printed JSON of the full accountant
-//!   (the original on-disk form): re-serializes every float, `O(T)`
-//!   text formatting per save.
 //! * `ckpt/bin_snapshot` — the v3 binary envelope: raw `f64` sections,
 //!   `O(T)` bytes but a plain memory copy.
 //! * `ckpt/delta_1000` — a delta record covering 1 000 releases
@@ -73,13 +70,6 @@ fn max_tpl(acc: &TplAccountant) -> f64 {
         .expect("series")
         .iter()
         .fold(f64::NEG_INFINITY, |m, &v| m.max(v))
-}
-
-fn bench_json_snapshot(c: &mut Criterion) {
-    let acc = accountant(T_LEN);
-    c.bench_function("ckpt/json_snapshot", |b| {
-        b.iter(|| black_box(acc.checkpoint().to_json_pretty().len()))
-    });
 }
 
 fn bench_bin_snapshot(c: &mut Criterion) {
@@ -261,7 +251,6 @@ fn headline() {
         let len = f();
         (len, t0.elapsed().as_secs_f64() * 1e3)
     };
-    let (json_size, json_ms) = timed(&mut || acc.checkpoint().to_json_pretty().len());
     let (bin_size, bin_ms) = timed(&mut || acc.checkpoint_binary().len());
     let (delta_size, delta_ms) = timed(&mut || {
         acc.checkpoint_delta(&cursor)
@@ -270,12 +259,10 @@ fn headline() {
             .len()
     });
     println!(
-        "headline: T={T_LEN}: json snapshot {:.2} MB in {json_ms:.2} ms, \
-         binary snapshot {:.2} MB in {bin_ms:.2} ms, \
+        "headline: T={T_LEN}: binary snapshot {:.2} MB in {bin_ms:.2} ms, \
          delta (+{APPEND}) {:.1} KB in {delta_ms:.3} ms; \
          audit via copy {:.2} ms / {:.1} MB alloc vs mmap {:.3} ms / {:.1} KB alloc \
          ({speedup:.0}x)",
-        json_size as f64 / 1e6,
         bin_size as f64 / 1e6,
         delta_size as f64 / 1e3,
         copy_best.as_secs_f64() * 1e3,
@@ -292,7 +279,6 @@ fn bench_headline(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_json_snapshot,
     bench_bin_snapshot,
     bench_delta,
     bench_resume_copy,

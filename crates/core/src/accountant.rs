@@ -43,15 +43,15 @@
 //! test hook asserting exactly that. The cache is behaviorally
 //! invisible: every cached value is bit-identical to a fresh recompute
 //! (warm-started Algorithm 1 results are bit-identical to cold ones),
-//! and it is excluded from `PartialEq`-free equality semantics, `Clone`
-//! sharing, and the serialized form alike.
+//! and it is excluded from `PartialEq`-free equality semantics and
+//! `Clone` sharing alike.
 
 use crate::adversary::AdversaryT;
 use crate::loss::TemporalLossFunction;
 use crate::supremum::{supremum_of_loss, Supremum};
 use crate::{check_epsilon, Result, TplError};
 use parking_lot::Mutex;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::Value;
 use std::sync::Arc;
 use tcdp_markov::TransitionMatrix;
 use tcdp_mech::budget::BudgetTimeline;
@@ -990,112 +990,6 @@ impl Clone for TplAccountant {
     }
 }
 
-impl Serialize for TplAccountant {
-    /// Serializes the pre-cache derived shape
-    /// `{"backward", "forward", "timeline", "bpl", "fold"}` (the
-    /// timeline and BPL are the live window; `"fold"` is `null` until a
-    /// horizon is armed, then carries the constant-size fold summary);
-    /// the series cache and the loss functions' internal caches are
-    /// rebuilt on first use after restore.
-    fn to_value(&self) -> Value {
-        let side = |l: &Option<Arc<TemporalLossFunction>>| match l {
-            Some(l) => l.to_value(),
-            None => Value::Null,
-        };
-        let fold = if self.folded.len == 0
-            && self.timeline.horizon().is_none()
-            && self.wevent.is_empty()
-        {
-            Value::Null
-        } else {
-            // With a horizon armed but nothing folded yet, the summary
-            // maxima are still NEG_INFINITY — written as 0.0 (JSON has
-            // no infinities) and ignored on restore (`len == 0`).
-            let stat = |v: f64| Value::Num(if self.folded.len == 0 { 0.0 } else { v });
-            let mut map = vec![
-                ("len".to_string(), self.folded.len.to_value()),
-                ("bpl_max".to_string(), stat(self.folded.bpl_max)),
-                (
-                    "bpl_less_eps_max".to_string(),
-                    stat(self.folded.bpl_less_eps_max),
-                ),
-                (
-                    "eps_total".to_string(),
-                    Value::Num(self.timeline.folded_total()),
-                ),
-                (
-                    "eps_max".to_string(),
-                    Value::Num(self.timeline.folded_eps_max().unwrap_or(0.0)),
-                ),
-                ("horizon".to_string(), self.timeline.horizon().to_value()),
-            ];
-            if !self.wevent.is_empty() {
-                map.push(("wevent".to_string(), wevent_to_value(&self.wevent)));
-            }
-            Value::Map(map)
-        };
-        Value::Map(vec![
-            ("backward".to_string(), side(&self.backward)),
-            ("forward".to_string(), side(&self.forward)),
-            ("timeline".to_string(), self.timeline.to_value()),
-            ("bpl".to_string(), self.bpl.to_value()),
-            ("fold".to_string(), fold),
-        ])
-    }
-}
-
-impl Deserialize for TplAccountant {
-    fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
-        let field = |k: &str| v.get(k).ok_or_else(|| DeError::missing(k));
-        let side = |k: &str| -> std::result::Result<_, DeError> {
-            Ok(Option::<TemporalLossFunction>::from_value(field(k)?)?.map(Arc::new))
-        };
-        let timeline = Arc::new(BudgetTimeline::from_value(field("timeline")?)?);
-        let bpl = Vec::from_value(field("bpl")?)?;
-        // "fold" is absent in pre-fold serializations (back-compat) and
-        // `null` for never-folded accountants.
-        let mut folded = FoldState::empty();
-        let mut wevent = Vec::new();
-        if let Some(fv) = v.get("fold") {
-            if !matches!(fv, Value::Null) {
-                let sub = |k: &str| fv.get(k).ok_or_else(|| DeError::missing(k));
-                let len = usize::from_value(sub("len")?)?;
-                let horizon = Option::<usize>::from_value(sub("horizon")?)?;
-                timeline
-                    .restore_fold(
-                        len,
-                        f64::from_value(sub("eps_total")?)?,
-                        f64::from_value(sub("eps_max")?)?,
-                        horizon,
-                    )
-                    .map_err(|e| DeError(format!("fold summary rejected: {e}")))?;
-                if len > 0 {
-                    folded = FoldState {
-                        len,
-                        bpl_max: f64::from_value(sub("bpl_max")?)?,
-                        bpl_less_eps_max: f64::from_value(sub("bpl_less_eps_max")?)?,
-                    };
-                }
-                // "wevent" is absent in checkpoints written before
-                // w-event tracking existed — restore as untracked.
-                if let Some(wv) = fv.get("wevent") {
-                    wevent = wevent_from_value(wv)
-                        .map_err(|e| DeError(format!("w-event summary rejected: {e}")))?;
-                }
-            }
-        }
-        let mut acc = TplAccountant::from_restored_parts(
-            side("backward")?,
-            side("forward")?,
-            timeline,
-            bpl,
-            folded,
-        );
-        acc.restore_wevent(wevent);
-        Ok(acc)
-    }
-}
-
 /// Encode tracked w-event pairs for a checkpoint: a sequence of
 /// `[w, base]` pairs where `base` is `null` for `−∞` (tracked, nothing
 /// folded yet) and the string `"inf"` for `+∞` (a window overran the
@@ -1427,13 +1321,21 @@ mod tests {
         ));
     }
 
+    /// Round-trip through a binary snapshot, the only way saved state
+    /// re-enters the process.
+    fn snapshot_round_trip(acc: &TplAccountant) -> TplAccountant {
+        match crate::checkpoint::resume_bytes(&acc.checkpoint_binary(), None).unwrap() {
+            crate::checkpoint::SavedState::Tpl(back) => back,
+            other => panic!("expected a solo accountant, got {:?}", other.kind()),
+        }
+    }
+
     #[test]
-    fn folded_serde_round_trip_preserves_fold() {
+    fn folded_snapshot_round_trip_preserves_fold() {
         let mut acc = TplAccountant::with_both(fig3_matrix(), fig3_matrix()).unwrap();
         acc.set_horizon(Some(3)).unwrap();
         acc.observe_uniform(0.1, 8).unwrap();
-        let json = serde_json::to_string(&acc).unwrap();
-        let mut back: TplAccountant = serde_json::from_str(&json).unwrap();
+        let mut back = snapshot_round_trip(&acc);
         assert_eq!(back.len(), 8);
         assert_eq!(back.live_start(), 5);
         assert_eq!(back.user_level().to_bits(), acc.user_level().to_bits());
@@ -1514,11 +1416,10 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_preserves_state() {
+    fn snapshot_round_trip_preserves_state() {
         let mut acc = TplAccountant::with_both(fig3_matrix(), fig3_matrix()).unwrap();
         acc.observe_uniform(0.1, 5).unwrap();
-        let json = serde_json::to_string(&acc).unwrap();
-        let mut back: TplAccountant = serde_json::from_str(&json).unwrap();
+        let mut back = snapshot_round_trip(&acc);
         assert_eq!(back.len(), 5);
         assert_eq!(back.bpl_series(), acc.bpl_series());
         // The restored accountant continues the recursion seamlessly.

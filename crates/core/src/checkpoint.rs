@@ -1,5 +1,5 @@
-//! Versioned, resumable audit checkpoints — JSON and binary, full and
-//! incremental.
+//! Versioned, resumable audit checkpoints — binary snapshots plus an
+//! append-only delta log.
 //!
 //! A continual release over a very long timeline (`T` in the millions)
 //! cannot assume the auditing process survives end to end: the service
@@ -29,36 +29,24 @@
 //!
 //! # Encodings
 //!
-//! Two encodings carry the same logical state and restore through the
-//! same validation path, so they are interchangeable bit for bit:
+//! There is one encoding: the **binary envelope** (`CHECKPOINT_VERSION`
+//! 3, see [`format`]), a fixed-width, length-prefixed little-endian
+//! container — an 8-byte magic, the version, a section table — whose
+//! series and timeline sections are raw `f64` arrays at 8-byte-aligned
+//! offsets, laid out for zero-copy (mmap-friendly) reads. Writing a
+//! snapshot copies the arrays instead of formatting floats, which is
+//! what makes checkpointing a `T` in the hundreds of millions practical.
+//! [`TplAccountant::checkpoint_binary`] /
+//! [`PopulationAccountant::checkpoint_binary`] write it; [`resume_bytes`]
+//! and [`resume_file`] are the only way checkpointed state re-enters
+//! the process, and both run every semantic check below before any
+//! state is restored.
 //!
-//! * **JSON envelope** (the original encoding; human-inspectable):
-//!
-//!   ```json
-//!   {
-//!     "format": "tcdp-checkpoint",
-//!     "version": 3,
-//!     "kind": "tpl-accountant" | "population-accountant",
-//!     "payload": { ... }
-//!   }
-//!   ```
-//!
-//!   Version 3 (this build) is written; versions 1 and 2 are still
-//!   *read* — a v1 envelope (whose accountants stored the budget trail
-//!   under `budgets` and whose population shards were guaranteed one
-//!   population-wide trail) is migrated in place, and a v2 envelope
-//!   (identical payload shape) is accepted as-is. Versions this build
-//!   does not know are rejected with the honest
-//!   [`TplError::CheckpointVersion`] error.
-//!
-//! * **Binary envelope** (`CHECKPOINT_VERSION` 3, see [`format`]): a
-//!   fixed-width, length-prefixed little-endian container — an 8-byte
-//!   magic, the version, a section table — whose series and timeline
-//!   sections are raw `f64` arrays at 8-byte-aligned offsets, laid out
-//!   for zero-copy (mmap-friendly) reads. Pretty-printed JSON
-//!   re-serializes every float on each save; the binary writer copies
-//!   the arrays, which is what makes checkpointing a `T` in the
-//!   hundreds of millions practical.
+//! Earlier builds also wrote a JSON envelope (`{"format":
+//! "tcdp-checkpoint", ...}`). It is no longer read: [`resume_file`]
+//! refuses such a file with a [`TplError::CorruptCheckpoint`] that says
+//! so, and the audit has to be re-run from its budget trail to write a
+//! binary snapshot.
 //!
 //! # Incremental (delta) checkpoints
 //!
@@ -128,9 +116,8 @@
 //! silently copying) when the platform cannot view them. Mapping is
 //! safe against concurrent writers because snapshots are only ever
 //! *rename-replaced* ([`write_atomic`]): the mapped inode is never
-//! rewritten in place. When mapping fails (or the file is a JSON
-//! envelope), [`resume_file`] falls back to the buffered read path —
-//! same bytes, same state, bit-identical.
+//! rewritten in place. When mapping fails, [`resume_file`] falls back
+//! to the buffered read path — same bytes, same state, bit-identical.
 //!
 //! ## Generation ids
 //!
@@ -163,14 +150,14 @@
 //! `TplAccountant::set_horizon`) holds only the live window plus a
 //! constant-size fold summary, and its snapshots are O(w) rather than
 //! O(T): the timeline and BPL sections carry the live window, and a
-//! `FOLDED_SUMMARY` section (JSON `"fold"` field; binary tag 8) carries
+//! `FOLDED_SUMMARY` section (tag 8) carries
 //! the fold point, the folded Σε and max ε, the horizon, and the folded
 //! BPL maxima. Restore reinstates the summary onto the rebuilt live
 //! trail via `BudgetTimeline::restore_fold`, which re-derives the
 //! absolute prefix sums with the exact additions the live run
 //! performed — so a resumed folded accountant is bit-identical to the
 //! saved one for every live-window query and serves the same documented
-//! bounds behind the fold. Unfolded v3 envelopes (no such section)
+//! bounds behind the fold. Unfolded snapshots (no such section)
 //! restore exactly as before.
 //!
 //! Corrupt or version-mismatched input — truncated containers, foreign
@@ -184,7 +171,8 @@
 //! # Example
 //!
 //! ```
-//! use tcdp_core::{Checkpoint, TplAccountant};
+//! use tcdp_core::checkpoint::{resume_bytes, SavedState};
+//! use tcdp_core::TplAccountant;
 //! use tcdp_markov::TransitionMatrix;
 //!
 //! let p = TransitionMatrix::from_rows(vec![vec![0.8, 0.2], vec![0.1, 0.9]]).unwrap();
@@ -192,31 +180,30 @@
 //! acc.observe_uniform(0.1, 5).unwrap();
 //!
 //! // Stop: persist the audit...
-//! let json = acc.checkpoint().to_json();
+//! let snapshot = acc.checkpoint_binary();
 //!
 //! // ...and continue elsewhere, bit-identically.
-//! let mut resumed = TplAccountant::resume(&Checkpoint::from_json(&json).unwrap()).unwrap();
+//! let SavedState::Tpl(mut resumed) = resume_bytes(&snapshot, None).unwrap() else {
+//!     unreachable!()
+//! };
 //! resumed.observe_release(0.1).unwrap();
 //! acc.observe_release(0.1).unwrap();
-//! assert_eq!(
-//!     resumed.tpl_series().unwrap(),
-//!     acc.tpl_series().unwrap(),
-//! );
+//! assert_eq!(resumed.tpl_series().unwrap(), acc.tpl_series().unwrap());
 //!
-//! // The binary encoding restores the very same state — and a delta
-//! // record carries a later stop point in O(appended) bytes.
+//! // A delta record carries a later stop point in O(appended) bytes.
 //! let snapshot = acc.checkpoint_binary();
 //! let cursor = acc.delta_cursor();
 //! acc.observe_release(0.2).unwrap();
-//! let delta = acc.checkpoint_delta(&cursor).unwrap();
-//! let resumed = tcdp_core::checkpoint::resume_bytes(&snapshot, Some(&delta.to_bytes())).unwrap();
-//! let tcdp_core::checkpoint::SavedState::Tpl(resumed) = resumed else { unreachable!() };
+//! let delta = acc.checkpoint_delta(&cursor).unwrap().to_bytes();
+//! let SavedState::Tpl(resumed) = resume_bytes(&snapshot, Some(&delta)).unwrap() else {
+//!     unreachable!()
+//! };
 //! assert_eq!(resumed.tpl_series().unwrap(), acc.tpl_series().unwrap());
 //! ```
 
 pub mod format;
 
-use crate::accountant::{wevent_from_value, FoldState, TplAccountant};
+use crate::accountant::{FoldState, TplAccountant};
 use crate::adversary::AdversaryT;
 use crate::alg1::LossWitness;
 use crate::loss::TemporalLossFunction;
@@ -229,18 +216,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tcdp_mech::budget::BudgetTimeline;
 
-/// The checkpoint format version this build writes (JSON and binary
-/// alike). JSON versions back to [`MIN_SUPPORTED_VERSION`] are still
-/// readable; see the module docs for the migration rules.
+/// The checkpoint format version this build writes and reads.
 pub const CHECKPOINT_VERSION: u32 = 3;
 
-/// The oldest JSON envelope version this build still reads.
-pub const MIN_SUPPORTED_VERSION: u32 = 1;
-
-/// The envelope's format discriminator.
-const FORMAT_TAG: &str = "tcdp-checkpoint";
-
-/// What kind of accountant a [`Checkpoint`] holds.
+/// What kind of accountant a checkpoint holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointKind {
     /// A single-adversary [`TplAccountant`].
@@ -256,115 +235,10 @@ impl CheckpointKind {
             CheckpointKind::PopulationAccountant => "population-accountant",
         }
     }
-
-    fn from_tag(tag: &str) -> Result<Self> {
-        match tag {
-            "tpl-accountant" => Ok(CheckpointKind::TplAccountant),
-            "population-accountant" => Ok(CheckpointKind::PopulationAccountant),
-            other => Err(corrupt(format!("unknown checkpoint kind `{other}`"))),
-        }
-    }
-}
-
-/// A validated, versioned snapshot of accountant state.
-///
-/// Produced by [`TplAccountant::checkpoint`] /
-/// [`PopulationAccountant::checkpoint`]; consumed by the matching
-/// `resume` constructors. The JSON form round-trips bit-exactly (the
-/// stand-in `serde_json` prints floats with shortest round-trip
-/// formatting).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Checkpoint {
-    kind: CheckpointKind,
-    payload: Value,
 }
 
 fn corrupt(reason: impl Into<String>) -> TplError {
     TplError::CorruptCheckpoint(reason.into())
-}
-
-impl Checkpoint {
-    /// What kind of accountant this checkpoint holds.
-    pub fn kind(&self) -> CheckpointKind {
-        self.kind
-    }
-
-    fn envelope(&self) -> Value {
-        Value::Map(vec![
-            ("format".to_string(), Value::Str(FORMAT_TAG.to_string())),
-            ("version".to_string(), CHECKPOINT_VERSION.to_value()),
-            ("kind".to_string(), Value::Str(self.kind.tag().to_string())),
-            ("payload".to_string(), self.payload.clone()),
-        ])
-    }
-
-    /// Render the versioned envelope as compact JSON.
-    pub fn to_json(&self) -> String {
-        // tcdp-lint: allow(panic-path) — serializing an in-memory `Value`
-        // tree is total (no I/O, no foreign types); the error arm is dead.
-        serde_json::to_string(&self.envelope()).expect("value serialization is total")
-    }
-
-    /// Render the versioned envelope as indented JSON (the on-disk
-    /// form [`Checkpoint::save`] writes).
-    pub fn to_json_pretty(&self) -> String {
-        // tcdp-lint: allow(panic-path) — serializing an in-memory `Value`
-        // tree is total (no I/O, no foreign types); the error arm is dead.
-        serde_json::to_string_pretty(&self.envelope()).expect("value serialization is total")
-    }
-
-    /// Parse and validate an envelope. Bad JSON, a foreign format tag,
-    /// an unknown kind, or a missing payload is
-    /// [`TplError::CorruptCheckpoint`]; a version this build does not
-    /// support is [`TplError::CheckpointVersion`]. Supported older
-    /// versions (1 and 2) are migrated in place — see the module docs.
-    pub fn from_json(text: &str) -> Result<Self> {
-        let v: Value = serde_json::from_str(text).map_err(|e| corrupt(format!("bad JSON: {e}")))?;
-        let format = match v.get("format") {
-            Some(Value::Str(s)) => s.as_str(),
-            _ => return Err(corrupt("missing `format` tag — not a tcdp checkpoint")),
-        };
-        if format != FORMAT_TAG {
-            return Err(corrupt(format!("foreign format tag `{format}`")));
-        }
-        let version = match v.get("version") {
-            Some(Value::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => *n as u32,
-            _ => return Err(corrupt("missing or non-integer `version`")),
-        };
-        if !(MIN_SUPPORTED_VERSION..=CHECKPOINT_VERSION).contains(&version) {
-            return Err(TplError::CheckpointVersion {
-                found: version,
-                supported: CHECKPOINT_VERSION,
-            });
-        }
-        let kind = match v.get("kind") {
-            Some(Value::Str(s)) => CheckpointKind::from_tag(s)?,
-            _ => return Err(corrupt("missing `kind`")),
-        };
-        let mut payload = v
-            .get("payload")
-            .ok_or_else(|| corrupt("missing `payload`"))?
-            .clone();
-        if version == 1 {
-            migrate_v1(kind, &mut payload);
-        }
-        Ok(Checkpoint { kind, payload })
-    }
-
-    /// Write the pretty-printed envelope to `path` atomically; see
-    /// [`write_atomic`] for the temp-file discipline.
-    pub fn save(&self, path: &Path) -> Result<()> {
-        let mut text = self.to_json_pretty();
-        text.push('\n');
-        write_atomic(path, text.as_bytes())
-    }
-
-    /// Read and validate a checkpoint file written by [`Checkpoint::save`].
-    pub fn load(path: &Path) -> Result<Self> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| TplError::CheckpointIo(format!("{}: {e}", path.display())))?;
-        Self::from_json(&text)
-    }
 }
 
 /// Atomically install `bytes` at `path`: the content goes to a
@@ -420,64 +294,16 @@ fn temp_sibling(path: &Path, pid: u32, nonce: u64, seq: u64) -> PathBuf {
     PathBuf::from(tmp)
 }
 
-/// Version 1 stored each accountant's budget trail under `budgets`;
-/// versions ≥ 2 call the field `timeline`. Everything else about the v1
-/// payload already has the current shape (its population shards simply
-/// all carry the same trail), so renaming the field in place is the
-/// whole migration.
-fn migrate_v1(kind: CheckpointKind, payload: &mut Value) {
-    fn rename_in_accountant(state: &mut Value) {
-        if let Value::Map(entries) = state {
-            for (k, v) in entries.iter_mut() {
-                if k == "accountant" {
-                    if let Value::Map(fields) = v {
-                        for (fk, _) in fields.iter_mut() {
-                            if fk == "budgets" {
-                                *fk = "timeline".to_string();
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    match kind {
-        CheckpointKind::TplAccountant => rename_in_accountant(payload),
-        CheckpointKind::PopulationAccountant => {
-            if let Value::Map(entries) = payload {
-                for (k, v) in entries.iter_mut() {
-                    if k != "groups" {
-                        continue;
-                    }
-                    if let Value::Seq(groups) = v {
-                        for group in groups.iter_mut() {
-                            if let Value::Map(g) = group {
-                                for (gk, gv) in g.iter_mut() {
-                                    if gk == "state" {
-                                        rename_in_accountant(gv);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// One accountant's full state decoded from either encoding, *before*
-/// validation — the common input of [`restore_accountant`], which is
-/// what makes JSON and binary restores bit-identical by construction.
-///
-/// The `f64` series are [`Cow`]s: the binary decoder borrows them
-/// straight from the (typically memory-mapped) source buffer, and the
-/// restore path materializes each exactly once; the JSON decoder hands
-/// owned vectors through the same fields.
 /// A decoded `(FPL, TPL)` cached-series pair, borrowed when zero-copy
 /// decoding allows.
 pub(crate) type RawSeries<'a> = (Cow<'a, [f64]>, Cow<'a, [f64]>);
 
+/// One accountant's full state decoded from a snapshot, *before*
+/// validation — the input of [`restore_accountant`].
+///
+/// The `f64` series are [`Cow`]s: the decoder borrows them straight
+/// from the (typically memory-mapped) source buffer, and the restore
+/// path materializes each exactly once.
 pub(crate) struct RawAccountantState<'a> {
     pub backward: Option<TemporalLossFunction>,
     pub forward: Option<TemporalLossFunction>,
@@ -499,7 +325,7 @@ pub(crate) struct RawAccountantState<'a> {
 }
 
 /// The decoded `FOLDED_SUMMARY` of one accountant: everything needed to
-/// reinstate a fold onto the live trail both encodings carry.
+/// reinstate a fold onto the live trail the snapshot carries.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RawFold {
     /// Entries folded away (global index of the first live entry).
@@ -519,7 +345,7 @@ pub(crate) struct RawFold {
     pub wevent: Vec<(usize, f64)>,
 }
 
-/// A population's full state decoded from either encoding: the user
+/// A population's full state decoded from a snapshot: the user
 /// count and, per shard in group order, the member list and accountant
 /// state.
 pub(crate) struct RawPopulationState<'a> {
@@ -538,9 +364,8 @@ fn witness_value(l: Option<&Arc<TemporalLossFunction>>) -> Value {
 
 /// The non-series half of one accountant's state — the loss functions
 /// (wrapping the adversary's correlation matrices) and the warm
-/// witnesses — as one JSON-serializable map. The JSON payload inlines
-/// these next to the series; the binary format stores them as a
-/// compact meta section next to the raw `f64` sections.
+/// witnesses — as one JSON-serializable map, which the binary format
+/// stores as a compact meta section next to the raw `f64` sections.
 pub(crate) fn tpl_meta_value(acc: &TplAccountant) -> Value {
     let side = |l: Option<&Arc<TemporalLossFunction>>| match l {
         Some(l) => l.to_value(),
@@ -558,110 +383,6 @@ pub(crate) fn tpl_meta_value(acc: &TplAccountant) -> Value {
             witness_value(acc.forward_loss_fn()),
         ),
     ])
-}
-
-/// Serialize one accountant's full state: the pre-cache shape
-/// (`TplAccountant`'s own serde form) plus the valid series cache and
-/// the per-side warm witnesses.
-fn tpl_payload(acc: &TplAccountant) -> Value {
-    let series = match acc.series_snapshot() {
-        Some((fpl, tpl)) => Value::Map(vec![
-            ("fpl".to_string(), fpl.to_value()),
-            ("tpl".to_string(), tpl.to_value()),
-        ]),
-        None => Value::Null,
-    };
-    Value::Map(vec![
-        ("accountant".to_string(), acc.to_value()),
-        ("series".to_string(), series),
-        (
-            "warm_backward".to_string(),
-            witness_value(acc.backward_loss_fn()),
-        ),
-        (
-            "warm_forward".to_string(),
-            witness_value(acc.forward_loss_fn()),
-        ),
-    ])
-}
-
-/// Decode a JSON payload into the raw state [`restore_accountant`]
-/// consumes (shape errors only; semantic validation happens there).
-fn raw_from_payload(payload: &Value) -> Result<RawAccountantState<'static>> {
-    let acc_v = payload
-        .get("accountant")
-        .ok_or_else(|| corrupt("missing `accountant`"))?;
-    let field = |k: &str| {
-        acc_v
-            .get(k)
-            .ok_or_else(|| corrupt(format!("accountant: missing field `{k}`")))
-    };
-    let side = |k: &str| -> Result<Option<TemporalLossFunction>> {
-        Option::<TemporalLossFunction>::from_value(field(k)?)
-            .map_err(|e| corrupt(format!("accountant.{k}: {e}")))
-    };
-    let timeline = Vec::<f64>::from_value(field("timeline")?)
-        .map_err(|e| corrupt(format!("accountant.timeline: {e}")))?;
-    let timeline = Arc::new(BudgetTimeline::from_raw_trail(&timeline));
-    let bpl = Vec::<f64>::from_value(field("bpl")?)
-        .map_err(|e| corrupt(format!("accountant.bpl: {e}")))?;
-    let series = match payload.get("series") {
-        None | Some(Value::Null) => None,
-        Some(series) => {
-            let get = |k: &str| -> Result<Vec<f64>> {
-                let v = series
-                    .get(k)
-                    .ok_or_else(|| corrupt(format!("series missing `{k}`")))?;
-                Vec::<f64>::from_value(v).map_err(|e| corrupt(format!("series.{k}: {e}")))
-            };
-            Some((get("fpl")?, get("tpl")?))
-        }
-    };
-    let witness = |k: &str| {
-        payload
-            .get(k)
-            .filter(|v| !matches!(v, Value::Null))
-            .cloned()
-    };
-    // "fold" is absent in pre-fold payloads and null when never folded.
-    let fold = match acc_v.get("fold") {
-        None | Some(Value::Null) => None,
-        Some(fv) => {
-            let sub = |k: &str| {
-                fv.get(k)
-                    .ok_or_else(|| corrupt(format!("accountant.fold: missing field `{k}`")))
-            };
-            let num = |k: &str| -> Result<f64> {
-                f64::from_value(sub(k)?).map_err(|e| corrupt(format!("accountant.fold.{k}: {e}")))
-            };
-            let wevent = match fv.get("wevent") {
-                None | Some(Value::Null) => Vec::new(),
-                Some(v) => wevent_from_value(v)
-                    .map_err(|e| corrupt(format!("accountant.fold.wevent: {e}")))?,
-            };
-            Some(RawFold {
-                folded_len: usize::from_value(sub("len")?)
-                    .map_err(|e| corrupt(format!("accountant.fold.len: {e}")))?,
-                eps_total: num("eps_total")?,
-                eps_max: num("eps_max")?,
-                horizon: Option::<usize>::from_value(sub("horizon")?)
-                    .map_err(|e| corrupt(format!("accountant.fold.horizon: {e}")))?,
-                bpl_max: num("bpl_max")?,
-                bpl_less_eps_max: num("bpl_less_eps_max")?,
-                wevent,
-            })
-        }
-    };
-    Ok(RawAccountantState {
-        backward: side("backward")?,
-        forward: side("forward")?,
-        timeline,
-        bpl: Cow::Owned(bpl),
-        series: series.map(|(f, t)| (Cow::Owned(f), Cow::Owned(t))),
-        warm_backward: witness("warm_backward"),
-        warm_forward: witness("warm_forward"),
-        fold,
-    })
 }
 
 /// Validate a deserialized witness against its loss function's domain
@@ -695,9 +416,9 @@ fn restore_witness(
 }
 
 /// Rebuild one accountant from raw state, validating everything the
-/// type system cannot — the single restore path shared by the JSON and
-/// binary encodings. Borrowed (zero-copy) sections are validated in
-/// place and materialized exactly once, here.
+/// type system cannot — the single path by which a saved accountant
+/// re-enters the process. Borrowed (zero-copy) sections are validated
+/// in place and materialized exactly once, here.
 pub(crate) fn restore_accountant(raw: RawAccountantState<'_>) -> Result<TplAccountant> {
     let RawAccountantState {
         backward,
@@ -796,38 +517,14 @@ pub(crate) fn restore_accountant(raw: RawAccountantState<'_>) -> Result<TplAccou
 }
 
 impl TplAccountant {
-    /// Snapshot this accountant into a versioned [`Checkpoint`] (the
-    /// JSON-encodable form; see [`Self::checkpoint_binary`] for the
-    /// binary envelope).
-    pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            kind: CheckpointKind::TplAccountant,
-            payload: tpl_payload(self),
-        }
-    }
-
     /// Snapshot this accountant as a version-3 **binary** envelope (see
     /// [`format`]): the timeline, BPL, and cached FPL/TPL series are
     /// raw little-endian `f64` sections. Restore with [`resume_bytes`]
-    /// or [`resume_file`]; the restored state is bit-identical to a
-    /// JSON restore of the same accountant.
+    /// or [`resume_file`]; the resumed accountant continues the stream
+    /// bit-identically to the saved one: same budgets, same BPL state,
+    /// same cached series, same warm-start seed.
     pub fn checkpoint_binary(&self) -> Vec<u8> {
         format::write_tpl_snapshot(self)
-    }
-
-    /// Rebuild an accountant from a [`Checkpoint`] produced by
-    /// [`TplAccountant::checkpoint`]. The resumed accountant continues
-    /// the stream bit-identically to the saved one: same budgets, same
-    /// BPL state, same cached series, same warm-start seed.
-    pub fn resume(cp: &Checkpoint) -> Result<Self> {
-        if cp.kind != CheckpointKind::TplAccountant {
-            return Err(corrupt(format!(
-                "checkpoint holds a {}, not a {}",
-                cp.kind.tag(),
-                CheckpointKind::TplAccountant.tag()
-            )));
-        }
-        restore_accountant(raw_from_payload(&cp.payload)?)
     }
 
     /// The cursor a later [`Self::checkpoint_delta`] measures appends
@@ -884,51 +581,16 @@ impl TplAccountant {
 }
 
 impl PopulationAccountant {
-    /// Snapshot the whole sharded population into a versioned
-    /// [`Checkpoint`]: per shard, its member indices and its
-    /// accountant's full state (the adversary matrices ride along inside
-    /// the accountant's loss functions).
-    pub fn checkpoint(&self) -> Checkpoint {
-        let groups: Vec<Value> = self
-            .parts()
-            .map(|(_, members, acc)| {
-                Value::Map(vec![
-                    ("members".to_string(), members.to_value()),
-                    ("state".to_string(), tpl_payload(acc)),
-                ])
-            })
-            .collect();
-        Checkpoint {
-            kind: CheckpointKind::PopulationAccountant,
-            payload: Value::Map(vec![
-                ("num_users".to_string(), self.num_users().to_value()),
-                ("groups".to_string(), Value::Seq(groups)),
-            ]),
-        }
-    }
-
     /// Snapshot the population as a version-3 **binary** envelope (see
-    /// [`format`]): each distinct budget timeline is written once as a
-    /// raw `f64` section, shards reference their timeline by class
-    /// index. Restore with [`resume_bytes`] or [`resume_file`].
+    /// [`format`]): per shard, its member indices and its accountant's
+    /// full state (the adversary matrices ride along inside the
+    /// accountant's loss functions); each distinct budget timeline is
+    /// written once as a raw `f64` section, and shards reference their
+    /// timeline by class index. Restore with [`resume_bytes`] or
+    /// [`resume_file`], which validate that the shards partition the
+    /// user set and agree on the number of observed releases.
     pub fn checkpoint_binary(&self) -> Vec<u8> {
         format::write_population_snapshot(self)
-    }
-
-    /// Rebuild a population from a [`Checkpoint`] produced by
-    /// [`PopulationAccountant::checkpoint`]. Validates that the shards
-    /// partition the user set (every index in `0..num_users` appears in
-    /// exactly one ascending member list) and that all shards agree on
-    /// the number of observed releases.
-    pub fn resume(cp: &Checkpoint) -> Result<Self> {
-        if cp.kind != CheckpointKind::PopulationAccountant {
-            return Err(corrupt(format!(
-                "checkpoint holds a {}, not a {}",
-                cp.kind.tag(),
-                CheckpointKind::PopulationAccountant.tag()
-            )));
-        }
-        restore_population(population_raw_from_payload(&cp.payload)?)
     }
 
     /// The cursor a later [`Self::checkpoint_delta`] measures appends
@@ -1072,33 +734,8 @@ impl PopulationAccountant {
     }
 }
 
-/// Decode a population JSON payload into raw state (shape errors only).
-fn population_raw_from_payload(payload: &Value) -> Result<RawPopulationState<'static>> {
-    let num_users = match payload.get("num_users") {
-        Some(v) => usize::from_value(v).map_err(|e| corrupt(format!("num_users: {e}")))?,
-        None => return Err(corrupt("missing `num_users`")),
-    };
-    let groups = match payload.get("groups") {
-        Some(Value::Seq(groups)) => groups,
-        _ => return Err(corrupt("missing `groups`")),
-    };
-    let mut shards = Vec::with_capacity(groups.len());
-    for (g, group) in groups.iter().enumerate() {
-        let members = match group.get("members") {
-            Some(v) => Vec::<usize>::from_value(v)
-                .map_err(|e| corrupt(format!("groups[{g}].members: {e}")))?,
-            None => return Err(corrupt(format!("groups[{g}]: missing `members`"))),
-        };
-        let state = group
-            .get("state")
-            .ok_or_else(|| corrupt(format!("groups[{g}]: missing `state`")))?;
-        shards.push((members, raw_from_payload(state)?));
-    }
-    Ok(RawPopulationState { num_users, shards })
-}
-
-/// Rebuild a population from raw state — the single restore path shared
-/// by the JSON and binary encodings. Validates the shard partition, the
+/// Rebuild a population from raw state — the single path by which a
+/// saved population re-enters the process. Validates the shard partition, the
 /// group ordering invariant, per-shard accountant state, and the
 /// equal-release-count invariant, then re-shares bitwise-equal budget
 /// trails copy-on-write.
@@ -1607,7 +1244,7 @@ impl SavedState {
 /// since overwritten, and replaying them would graft another run's tail
 /// onto this base. Unstamped (generation-0, legacy) records keep the
 /// strict `base_len` chaining contract: a mismatch is a hard
-/// [`TplError::CorruptCheckpoint`].
+/// [`TplError::CorruptCheckpoint`], as is a retired JSON envelope.
 pub fn resume_bytes(snapshot: &[u8], delta_log: Option<&[u8]>) -> Result<SavedState> {
     resume_bytes_counted(snapshot, delta_log).map(|(state, _, _)| state)
 }
@@ -1618,6 +1255,7 @@ fn resume_bytes_counted(
     snapshot: &[u8],
     delta_log: Option<&[u8]>,
 ) -> Result<(SavedState, usize, usize)> {
+    refuse_json_envelope(snapshot)?;
     let generation = snapshot_generation(snapshot);
     let mut state = match format::read_snapshot(snapshot)? {
         format::RawState::Tpl(raw) => SavedState::Tpl(restore_accountant(*raw)?),
@@ -1643,6 +1281,20 @@ fn resume_bytes_counted(
         }
     }
     Ok((state, replayed, skipped))
+}
+
+/// Earlier builds wrote a JSON envelope by default, so such files exist;
+/// name them precisely instead of reporting bad magic. The BPL values
+/// they hold cannot be rebuilt without re-running Algorithm 1 over every
+/// release, so the only honest recovery is re-running the audit.
+fn refuse_json_envelope(bytes: &[u8]) -> Result<()> {
+    if bytes.iter().find(|b| !b.is_ascii_whitespace()) == Some(&b'{') {
+        return Err(corrupt(
+            "this is a JSON checkpoint envelope, and JSON envelopes are no longer read — \
+             re-run the audit from its budget trail to write a binary (v3) snapshot",
+        ));
+    }
+    Ok(())
 }
 
 /// The sibling delta-log path of a binary snapshot: `<path>.delta`.
@@ -1785,35 +1437,19 @@ fn read_sibling_log(path: &Path) -> Result<Option<Vec<u8>>> {
     }
 }
 
-/// Resume from a checkpoint file in either encoding, sniffed by magic:
-/// a binary snapshot (replaying its sibling `<path>.delta` log when
-/// present) or a JSON envelope of any supported version. Binary
-/// snapshots are memory-mapped and decoded zero-copy
-/// ([`MappedSnapshot`]); when mapping is unavailable the buffered read
-/// below restores the identical state.
+/// Resume from a binary snapshot file, replaying its sibling
+/// `<path>.delta` log when present. The snapshot is memory-mapped and
+/// decoded zero-copy ([`MappedSnapshot`]); when mapping is unavailable
+/// the buffered read below restores the identical state.
 pub fn resume_file(path: &Path) -> Result<SavedState> {
     if let Ok(mapped) = MappedSnapshot::open(path) {
-        if mapped.bytes().starts_with(format::MAGIC) {
-            let log = read_sibling_log(path)?;
-            return resume_bytes(mapped.bytes(), log.as_deref());
-        }
+        let log = read_sibling_log(path)?;
+        return resume_bytes(mapped.bytes(), log.as_deref());
     }
     let bytes = std::fs::read(path)
         .map_err(|e| TplError::CheckpointIo(format!("{}: {e}", path.display())))?;
-    if bytes.starts_with(format::MAGIC) {
-        let log = read_sibling_log(path)?;
-        resume_bytes(&bytes, log.as_deref())
-    } else {
-        let text = String::from_utf8(bytes)
-            .map_err(|_| corrupt("checkpoint is neither a tcdp binary envelope nor UTF-8 JSON"))?;
-        let cp = Checkpoint::from_json(&text)?;
-        match cp.kind() {
-            CheckpointKind::TplAccountant => Ok(SavedState::Tpl(TplAccountant::resume(&cp)?)),
-            CheckpointKind::PopulationAccountant => {
-                Ok(SavedState::Population(PopulationAccountant::resume(&cp)?))
-            }
-        }
-    }
+    let log = read_sibling_log(path)?;
+    resume_bytes(&bytes, log.as_deref())
 }
 
 #[cfg(test)]
@@ -1825,15 +1461,21 @@ mod tests {
         TransitionMatrix::from_rows(vec![vec![0.8, 0.2], vec![0.1, 0.9]]).unwrap()
     }
 
+    fn tpl_of(state: SavedState) -> TplAccountant {
+        match state {
+            SavedState::Tpl(acc) => acc,
+            other => panic!("expected a solo accountant, got {:?}", other.kind()),
+        }
+    }
+
     #[test]
     fn tpl_round_trip_preserves_series_and_witness() {
         let mut acc = TplAccountant::with_both(matrix(), matrix()).unwrap();
         acc.observe_uniform(0.1, 8).unwrap();
         acc.tpl_series().unwrap(); // fill the cache and warm witnesses
-        let cp = acc.checkpoint();
-        assert_eq!(cp.kind(), CheckpointKind::TplAccountant);
-        let resumed =
-            TplAccountant::resume(&Checkpoint::from_json(&cp.to_json()).unwrap()).unwrap();
+        let state = resume_bytes(&acc.checkpoint_binary(), None).unwrap();
+        assert_eq!(state.kind(), CheckpointKind::TplAccountant);
+        let resumed = tpl_of(state);
         // The cached series was restored: first query costs zero evals.
         let before = resumed.loss_eval_count();
         assert_eq!(resumed.tpl_series().unwrap(), acc.tpl_series().unwrap());
@@ -1904,60 +1546,23 @@ mod tests {
 
     #[test]
     fn kind_mismatch_is_reported() {
+        // A population's delta record replayed onto a solo snapshot.
         let mut acc = TplAccountant::with_both(matrix(), matrix()).unwrap();
         acc.observe_uniform(0.1, 3).unwrap();
-        let cp = acc.checkpoint();
-        assert!(matches!(
-            PopulationAccountant::resume(&cp),
-            Err(TplError::CorruptCheckpoint(_))
-        ));
-    }
-
-    #[test]
-    fn version_and_format_are_enforced() {
-        let mut acc = TplAccountant::with_both(matrix(), matrix()).unwrap();
-        acc.observe_uniform(0.1, 2).unwrap();
-        let json = acc.checkpoint().to_json();
-        let bumped = json
-            .replace("\"version\":3.0", "\"version\":999")
-            .replace("\"version\":3,", "\"version\":999,");
-        assert!(matches!(
-            Checkpoint::from_json(&bumped),
-            Err(TplError::CheckpointVersion {
-                found: 999,
-                supported: CHECKPOINT_VERSION
-            })
-        ));
-        assert!(matches!(
-            Checkpoint::from_json("{\"format\":\"something-else\",\"version\":1}"),
-            Err(TplError::CorruptCheckpoint(_))
-        ));
-        assert!(matches!(
-            Checkpoint::from_json("not json at all"),
-            Err(TplError::CorruptCheckpoint(_))
-        ));
-    }
-
-    #[test]
-    fn older_json_versions_still_resume() {
-        // A v2 envelope has the current payload shape under an older
-        // version stamp; a v1 envelope additionally stores the trail
-        // under `budgets`. Both must restore bit-identically to the
-        // state they describe.
-        let mut acc = TplAccountant::with_both(matrix(), matrix()).unwrap();
-        acc.observe_uniform(0.1, 4).unwrap();
-        let json = acc.checkpoint().to_json();
-        let v2 = json
-            .replace("\"version\":3.0", "\"version\":2")
-            .replace("\"version\":3,", "\"version\":2,");
-        assert_ne!(v2, json, "version stamp must have been rewritten");
-        let resumed = TplAccountant::resume(&Checkpoint::from_json(&v2).unwrap()).unwrap();
-        assert_eq!(resumed.tpl_series().unwrap(), acc.tpl_series().unwrap());
-        let v1 = v2
-            .replace("\"timeline\":", "\"budgets\":")
-            .replace("\"version\":2", "\"version\":1");
-        let resumed = TplAccountant::resume(&Checkpoint::from_json(&v1).unwrap()).unwrap();
-        assert_eq!(resumed.tpl_series().unwrap(), acc.tpl_series().unwrap());
+        let adversary = AdversaryT::with_both(matrix(), matrix()).unwrap();
+        let mut pop = PopulationAccountant::new(&[adversary.clone(), adversary]).unwrap();
+        let cursor = pop.delta_cursor();
+        pop.observe_release(0.1).unwrap();
+        let delta = pop.checkpoint_delta(&cursor).unwrap().to_bytes();
+        match resume_bytes(&acc.checkpoint_binary(), Some(&delta)) {
+            Err(TplError::CorruptCheckpoint(reason)) => {
+                assert!(
+                    reason.contains("does not match the snapshot kind"),
+                    "{reason}"
+                )
+            }
+            other => panic!("expected a kind mismatch, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1971,7 +1576,7 @@ mod tests {
         let mut acc = TplAccountant::with_both(matrix(), matrix()).unwrap();
         acc.observe_uniform(0.1, 2).unwrap();
         assert!(matches!(
-            acc.checkpoint().save(&target),
+            write_atomic(&target, &acc.checkpoint_binary()),
             Err(TplError::CheckpointIo(_))
         ));
         let litter: Vec<_> = std::fs::read_dir(&dir)
@@ -1990,22 +1595,22 @@ mod tests {
         // Unique temp names make every save succeed and the final file
         // a valid checkpoint.
         let dir = std::env::temp_dir();
-        let path = dir.join(format!("tcdp_concurrent_saves_{}.json", std::process::id()));
+        let path = dir.join(format!("tcdp_concurrent_saves_{}.bin", std::process::id()));
         let mut acc = TplAccountant::with_both(matrix(), matrix()).unwrap();
         acc.observe_uniform(0.1, 3).unwrap();
-        let cp = acc.checkpoint();
+        let snapshot = acc.checkpoint_binary();
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                let cp = &cp;
+                let snapshot = &snapshot;
                 let path = &path;
                 scope.spawn(move || {
                     for _ in 0..25 {
-                        cp.save(path).expect("concurrent save must not collide");
+                        write_atomic(path, snapshot).expect("concurrent save must not collide");
                     }
                 });
             }
         });
-        let resumed = TplAccountant::resume(&Checkpoint::load(&path).unwrap()).unwrap();
+        let resumed = tpl_of(resume_file(&path).unwrap());
         assert_eq!(resumed.len(), 3);
         std::fs::remove_file(&path).ok();
     }

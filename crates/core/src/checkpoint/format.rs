@@ -95,8 +95,8 @@
 //! multiple of 8, bad magic, or an unknown role/kind/tag shape is an
 //! honest [`TplError::CorruptCheckpoint`]; a version other than
 //! [`CHECKPOINT_VERSION`] is [`TplError::CheckpointVersion`]. The
-//! decoded state then passes through exactly the same semantic
-//! validation as a JSON restore.
+//! decoded state then passes through the semantic validation of
+//! [`crate::checkpoint`] before any of it is restored.
 
 use super::{
     corrupt, tpl_meta_value, CheckpointDelta, CheckpointKind, DeltaShard, DeltaSplits,

@@ -37,10 +37,9 @@
 //! * [`checkpoint`] — versioned checkpoints of [`TplAccountant`] and
 //!   [`personalized::PopulationAccountant`] state (budgets, BPL, cached
 //!   FPL/TPL series, warm witnesses) so very long audits can stop and
-//!   resume mid-timeline with bit-identical results; two encodings
-//!   (human-inspectable JSON and a zero-copy binary envelope of raw
-//!   `f64` sections) plus an append-only delta log whose records cost
-//!   `O(appended)` bytes instead of `O(T)` per stop point.
+//!   resume mid-timeline with bit-identical results: a zero-copy binary
+//!   envelope of raw `f64` sections plus an append-only delta log whose
+//!   records cost `O(appended)` bytes instead of `O(T)` per stop point.
 //!
 //! Verified extensions grounded in the paper's discussion:
 //!
@@ -92,7 +91,7 @@ pub use adaptive::AdaptiveReleaser;
 pub use adversary::AdversaryT;
 pub use alg1::{temporal_loss, EvalSession, Kernel, LossWitness};
 pub use checkpoint::{
-    Checkpoint, CheckpointDelta, CheckpointKind, DeltaCursor, SavedState, CHECKPOINT_VERSION,
+    CheckpointDelta, CheckpointKind, DeltaCursor, SavedState, CHECKPOINT_VERSION,
 };
 pub use loss::{LossEvaluator, TemporalLossFunction};
 pub use release::{quantified_plan, upper_bound_plan, DptReleaser, ReleasePlan};
@@ -193,8 +192,9 @@ pub enum TplError {
         /// ([`checkpoint::CHECKPOINT_VERSION`]).
         supported: u32,
     },
-    /// A checkpoint failed structural validation (bad JSON, wrong kind,
-    /// missing fields, or internally inconsistent state).
+    /// A checkpoint failed structural validation (bad magic, a retired
+    /// JSON envelope, wrong kind, missing sections, or internally
+    /// inconsistent state).
     CorruptCheckpoint(String),
     /// A checkpoint file could not be read or written.
     CheckpointIo(String),

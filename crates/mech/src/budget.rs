@@ -12,7 +12,7 @@
 
 use crate::{MechError, Result};
 use parking_lot::RwLock;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// A validated privacy budget: a finite, strictly positive real.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
@@ -579,33 +579,6 @@ impl Clone for BudgetTimeline {
     }
 }
 
-impl Serialize for BudgetTimeline {
-    /// Serializes the live trail; prefix sums and revision are rebuilt on
-    /// restore (push-by-push, so they are bit-identical by construction).
-    /// Fold state is *not* carried here — the checkpoint layer records it
-    /// separately and reinstates it via [`BudgetTimeline::restore_fold`].
-    fn to_value(&self) -> Value {
-        self.with_values(|budgets| Value::Seq(budgets.iter().map(|b| Value::Num(*b)).collect()))
-    }
-}
-
-impl Deserialize for BudgetTimeline {
-    /// Rebuilds the trail without budget-validity checks (consumers such
-    /// as `tcdp-core`'s checkpoint layer validate and report in their own
-    /// error vocabulary); the prefix sums are re-derived entry by entry.
-    fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
-        let values = Vec::<f64>::from_value(v)?;
-        let timeline = BudgetTimeline::new();
-        {
-            let mut inner = timeline.write();
-            for v in values {
-                inner.push_unchecked(v);
-            }
-        }
-        Ok(timeline)
-    }
-}
-
 /// A spend-tracking ledger over a total budget, enforcing that sequential
 /// composition never exceeds the granted total.
 #[derive(Debug, Clone)]
@@ -818,13 +791,12 @@ mod tests {
     }
 
     #[test]
-    fn timeline_from_schedule_and_serde() {
+    fn timeline_from_schedule_and_raw_trail() {
         let s = BudgetSchedule::from_values(&[0.5, 0.1, 0.4]).unwrap();
         let t = BudgetTimeline::from_schedule(&s);
         assert_eq!(t.values(), s.values());
         assert_eq!(t.revision(), 3);
-        let v = t.to_value();
-        let back = BudgetTimeline::from_value(&v).unwrap();
+        let back = BudgetTimeline::from_raw_trail(&t.values());
         assert!(back.series_eq(&t));
         assert_eq!(back.revision(), 3);
         assert_eq!(

@@ -15,7 +15,7 @@
 //!   `(adversary, timeline)` class, never per user);
 //! * audits per-tier guarantees end to end, checkpoint/resume included.
 
-use tcdp::core::checkpoint::Checkpoint;
+use tcdp::core::checkpoint::{resume_file, write_atomic, SavedState};
 use tcdp::core::personalized::PopulationAccountant;
 use tcdp::core::AdversaryT;
 use tcdp::data::population::tier_ranges;
@@ -82,9 +82,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A nightly checkpoint stop/resume is still bit-identical, per-user
     // timelines and all.
-    let path = std::env::temp_dir().join("tcdp_personalized_checkpoint.json");
-    pop.checkpoint().save(&path)?;
-    let mut resumed = PopulationAccountant::resume(&Checkpoint::load(&path)?)?;
+    let path = std::env::temp_dir().join(format!(
+        "tcdp_personalized_checkpoint_{}.bin",
+        std::process::id()
+    ));
+    write_atomic(&path, &pop.checkpoint_binary())?;
+    let SavedState::Population(mut resumed) = resume_file(&path)? else {
+        unreachable!("population snapshot");
+    };
+    std::fs::remove_file(&path)?;
     assert_eq!(resumed.num_timelines(), pop.num_timelines());
     resumed.observe_release_personalized(&[(tiers[0].clone(), 0.01), (tiers[1].clone(), 0.02)])?;
     pop.observe_release_personalized(&[(tiers[0].clone(), 0.01), (tiers[1].clone(), 0.02)])?;

@@ -15,7 +15,9 @@
 //! SPLIT delta record (no re-snapshot), and `compact`, which folds the
 //! grown log back into the base snapshot.
 
-use tcdp::core::checkpoint::Checkpoint;
+use tcdp::core::checkpoint::{
+    delta_log_path, resume_file, snapshot_generation, write_atomic, SavedState,
+};
 use tcdp::core::personalized::PopulationAccountant;
 use tcdp::core::AdversaryT;
 use tcdp::markov::TransitionMatrix;
@@ -54,12 +56,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         pop.max_tpl()?,
         pop.most_exposed_user()?
     );
-    let path = std::env::temp_dir().join("tcdp_population_checkpoint.json");
-    pop.checkpoint().save(&path)?;
+    let path = std::env::temp_dir().join(format!(
+        "tcdp_population_checkpoint_{}.bin",
+        std::process::id()
+    ));
+    write_atomic(&path, &pop.checkpoint_binary())?;
     println!("checkpointed to {}", path.display());
 
     // Day two: a fresh process resumes the audit and streams on.
-    let mut resumed = PopulationAccountant::resume(&Checkpoint::load(&path)?)?;
+    let SavedState::Population(mut resumed) = resume_file(&path)? else {
+        unreachable!("population snapshot");
+    };
+    std::fs::remove_file(&path)?;
     for _ in 0..40 {
         resumed.observe_release(0.02)?;
     }
@@ -92,12 +100,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         resumed.user(exposed).expect("tracked").user_level()
     );
 
-    // Day three runs with *incremental* binary checkpoints: one full
-    // v3 snapshot (raw f64 sections), then every stop point appends
-    // only the releases observed since — O(appended) bytes, not O(T).
-    use tcdp::core::checkpoint::{
-        delta_log_path, resume_file, snapshot_generation, write_atomic, SavedState,
-    };
+    // Day three runs with *incremental* checkpoints: one full v3
+    // snapshot (raw f64 sections), then every stop point appends only
+    // the releases observed since — O(appended) bytes, not O(T).
     let bin_path = std::env::temp_dir().join(format!("tcdp_population_{}.bin", std::process::id()));
     // The cursor is stamped with the snapshot's generation id
     // (a content hash), so every delta record names the exact snapshot

@@ -21,13 +21,15 @@
 //! printf '0.1\n0.1\n0.1\n' | tcdp-cli audit --pb @pb.json --budgets - --stream
 //! tcdp-cli audit --pb @pb.json --budgets @trail.json --w 5
 //!
-//! # Stop and resume a very long audit mid-timeline. The checkpoint
-//! # carries the adversary, the budget trail, the BPL recursion state,
-//! # the cached FPL/TPL series, and the Algorithm 1 warm witnesses, so
-//! # the resumed audit is bit-identical to an uninterrupted one.
-//! tcdp-cli audit --pb @pb.json --budgets @jan.json --checkpoint state.json
-//! tcdp-cli audit --resume state.json --budgets @feb.json --w 24 \
-//!          --checkpoint state.json
+//! # Stop and resume a very long audit mid-timeline. The binary
+//! # checkpoint carries the adversary, the budget trail, the BPL
+//! # recursion state, the cached FPL/TPL series, and the Algorithm 1
+//! # warm witnesses, so the resumed audit is bit-identical to an
+//! # uninterrupted one; resuming into the same file appends a delta
+//! # record to state.bin.delta instead of rewriting the snapshot.
+//! tcdp-cli audit --pb @pb.json --budgets @jan.json --checkpoint state.bin
+//! tcdp-cli audit --resume state.bin --budgets @feb.json --w 24 \
+//!          --checkpoint state.bin
 //! ```
 
 use std::io::BufRead;
@@ -38,7 +40,7 @@ use tcdp::core::checkpoint::{self, CheckpointDelta, DeltaCursor, SavedState};
 use tcdp::core::composition::w_event_guarantee;
 use tcdp::core::personalized::PopulationAccountant;
 use tcdp::core::supremum::{supremum_of_matrix, Supremum};
-use tcdp::core::{quantified_plan, upper_bound_plan, AdversaryT, Checkpoint, TplAccountant};
+use tcdp::core::{quantified_plan, upper_bound_plan, AdversaryT, TplAccountant};
 use tcdp::markov::TransitionMatrix;
 use tcdp::serve::GroupSpec;
 
@@ -51,9 +53,8 @@ USAGE:
   tcdp-cli plan     [--pb M] [--pf M] --alpha A [--horizon T]
   tcdp-cli audit    [--pb M] [--pf M] [--population SPEC] [--budgets SPEC]
                     [--w W1,W2,...] [--stream] [--horizon H]
-                    [--checkpoint FILE] [--checkpoint-format json|bin]
-                    [--checkpoint-every N] [--compact-after N]
-                    [--resume FILE]
+                    [--checkpoint FILE] [--checkpoint-every N]
+                    [--compact-after N] [--resume FILE]
   tcdp-cli estimate --traces FILE [--pseudo C]
   tcdp-cli report   [--pb M] [--pf M] --alpha A --eps E --t T
 
@@ -83,26 +84,26 @@ USAGE:
   window w-event) next to the population summary; accounting cost scales
   with distinct (correlation, timeline) classes, not users.
 
-  `audit --checkpoint FILE` saves the accountant state after the audit;
-  `audit --resume FILE` restores it and continues the same timeline (the
-  checkpoint carries the adversaries and, for populations, the per-shard
-  budget timelines, so drop --pb/--pf/--population; --budgets becomes
-  optional — omit it to just re-summarize, and use the bare-eps or
-  user-range line forms to continue a population stream). A stopped-and-
-  resumed audit emits byte-identical guarantees to an uninterrupted one.
-  `--checkpoint-format bin` writes the v3 binary envelope (raw f64
-  sections; the fast choice for very long timelines) instead of JSON;
-  --resume sniffs the format. `--checkpoint-every N` additionally saves
-  during the stream, every N releases: in binary format the first save
-  is a full snapshot and each further save appends only the releases
-  observed since to an append-only FILE.delta log (O(appended) bytes,
-  not O(T)); in JSON format each save rewrites the full snapshot.
-  Population shard splits (diverging personalized budgets) ride the log
-  as SPLIT records; a save that genuinely cannot chain (e.g. the fold
-  horizon passed the last save) says why on stderr and falls back to a
-  full snapshot. `--compact-after N` (binary format only) folds the log
-  back into the base snapshot after every N appended records, keeping
-  both the log and the resume-time replay chain bounded.
+  `audit --checkpoint FILE` saves the accountant state after the audit
+  as a v3 binary snapshot (raw f64 sections); `audit --resume FILE`
+  restores it and continues the same timeline (the checkpoint carries
+  the adversaries and, for populations, the per-shard budget timelines,
+  so drop --pb/--pf/--population; --budgets becomes optional — omit it
+  to just re-summarize, and use the bare-eps or user-range line forms
+  to continue a population stream). A stopped-and-resumed audit emits
+  byte-identical guarantees to an uninterrupted one. JSON checkpoints
+  written by earlier versions are no longer read: re-run the audit from
+  its budget trail. `--checkpoint-every N` additionally saves during the
+  stream, every N releases: the first save is a full snapshot and each
+  further save appends only the releases observed since to an
+  append-only FILE.delta log (O(appended) bytes, not O(T)); resuming
+  into the same FILE keeps appending to its log. Population shard
+  splits (diverging personalized budgets) ride the log as SPLIT
+  records; a save that genuinely cannot chain (e.g. the fold horizon
+  passed the last save) says why on stderr and falls back to a full
+  snapshot. `--compact-after N` folds the log back into the base
+  snapshot after every N appended records, keeping both the log and
+  the resume-time replay chain bounded.
   Blank and whitespace-only budget lines (and empty CSV fields) are
   skipped, and a trail without a trailing newline is fine.
   `audit --horizon H` folds releases older than the last H into a
@@ -129,24 +130,46 @@ fn main() -> ExitCode {
     }
 }
 
+type Command = fn(&Opts) -> Result<(), String>;
+
+/// Every subcommand with the flags it reads; any other flag is refused.
+const COMMANDS: &[(&str, &[&str], Command)] = &[
+    ("quantify", &["pb", "pf", "eps", "t"], quantify),
+    ("supremum", &["matrix", "eps"], supremum),
+    ("plan", &["pb", "pf", "alpha", "horizon"], plan),
+    (
+        "audit",
+        &[
+            "pb",
+            "pf",
+            "population",
+            "budgets",
+            "w",
+            "stream",
+            "horizon",
+            "checkpoint",
+            "checkpoint-every",
+            "compact-after",
+            "resume",
+        ],
+        audit,
+    ),
+    ("estimate", &["traces", "pseudo"], estimate),
+    ("report", &["pb", "pf", "alpha", "eps", "t"], report),
+];
+
 fn run(args: &[String]) -> Result<(), String> {
     let Some(cmd) = args.first() else {
         return Err("missing subcommand".into());
     };
-    let opts = parse_flags(&args[1..])?;
-    match cmd.as_str() {
-        "quantify" => quantify(&opts),
-        "supremum" => supremum(&opts),
-        "plan" => plan(&opts),
-        "audit" => audit(&opts),
-        "estimate" => estimate(&opts),
-        "report" => report(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown subcommand '{other}'")),
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return Ok(());
     }
+    let Some(&(_, known, command)) = COMMANDS.iter().find(|(name, _, _)| name == cmd) else {
+        return Err(format!("unknown subcommand '{cmd}'"));
+    };
+    command(&parse_flags(&args[1..], known)?)
 }
 
 struct Opts {
@@ -209,13 +232,16 @@ impl Opts {
 /// Flags that stand alone (no value): present means "on".
 const SWITCH_FLAGS: &[&str] = &["stream"];
 
-fn parse_flags(args: &[String]) -> Result<Opts, String> {
+fn parse_flags(args: &[String], known: &[&str]) -> Result<Opts, String> {
     let mut flags = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let Some(name) = arg.strip_prefix("--") else {
             return Err(format!("unexpected argument '{arg}'"));
         };
+        if !known.contains(&name) {
+            return Err(format!("unknown flag --{name}"));
+        }
         if SWITCH_FLAGS.contains(&name) {
             flags.push((name.to_string(), "true".to_string()));
             continue;
@@ -500,17 +526,9 @@ fn parse_release_line(line: &str, groups: Option<&[GroupSpec]>) -> Result<Releas
     }
 }
 
-/// On-disk checkpoint encoding selected by `--checkpoint-format`.
-#[derive(Clone, Copy, PartialEq)]
-enum CkFormat {
-    Json,
-    Bin,
-}
-
 /// Either accountant, seen through the checkpoint surface the sink
 /// drives.
 trait Checkpointable {
-    fn checkpoint_json(&self) -> Checkpoint;
     fn checkpoint_bin(&self) -> Vec<u8>;
     fn cursor(&self) -> DeltaCursor;
     fn delta_explained(&self, cursor: &DeltaCursor) -> tcdp::core::Result<CheckpointDelta>;
@@ -518,9 +536,6 @@ trait Checkpointable {
 }
 
 impl Checkpointable for TplAccountant {
-    fn checkpoint_json(&self) -> Checkpoint {
-        self.checkpoint()
-    }
     fn checkpoint_bin(&self) -> Vec<u8> {
         self.checkpoint_binary()
     }
@@ -536,9 +551,6 @@ impl Checkpointable for TplAccountant {
 }
 
 impl Checkpointable for PopulationAccountant {
-    fn checkpoint_json(&self) -> Checkpoint {
-        self.checkpoint()
-    }
     fn checkpoint_bin(&self) -> Vec<u8> {
         self.checkpoint_binary()
     }
@@ -553,14 +565,13 @@ impl Checkpointable for PopulationAccountant {
     }
 }
 
-/// Drives `--checkpoint` / `--checkpoint-format` / `--checkpoint-every`:
-/// full snapshots in either encoding, plus incremental delta appends to
-/// `FILE.delta` in binary mode (the cursor chains save to save; any
-/// save the cursor cannot chain from — e.g. after a population shard
-/// split — falls back to a fresh full snapshot and truncates the log).
+/// Drives `--checkpoint` / `--checkpoint-every`: binary full snapshots
+/// plus incremental delta appends to `FILE.delta` (the cursor chains
+/// save to save; any save the cursor cannot chain from — e.g. after the
+/// fold horizon passed it — falls back to a fresh full snapshot and
+/// truncates the log).
 struct CheckpointSink {
     path: Option<String>,
-    format: CkFormat,
     every: Option<usize>,
     since: usize,
     cursor: Option<DeltaCursor>,
@@ -577,15 +588,6 @@ struct CheckpointSink {
 impl CheckpointSink {
     fn from_opts(opts: &Opts) -> Result<Self, String> {
         let path = opts.get("checkpoint").map(str::to_string);
-        let format = match opts.get("checkpoint-format") {
-            None | Some("json") => CkFormat::Json,
-            Some("bin") | Some("binary") => CkFormat::Bin,
-            Some(other) => {
-                return Err(format!(
-                    "--checkpoint-format: expected 'json' or 'bin', got '{other}'"
-                ))
-            }
-        };
         let every = opts.get_usize("checkpoint-every")?;
         if let Some(every) = every {
             if every == 0 {
@@ -603,16 +605,9 @@ impl CheckpointSink {
             if path.is_none() {
                 return Err("--compact-after needs --checkpoint FILE".into());
             }
-            if format != CkFormat::Bin {
-                return Err(
-                    "--compact-after folds a binary delta log; it needs --checkpoint-format bin"
-                        .into(),
-                );
-            }
         }
         Ok(Self {
             path,
-            format,
             every,
             since: 0,
             cursor: None,
@@ -622,29 +617,21 @@ impl CheckpointSink {
         })
     }
 
-    /// When the audit resumed from the same binary file it keeps
-    /// checkpointing to, the resumed state is the delta base: later
-    /// saves append to the existing log instead of rewriting `O(T)`.
+    /// When the audit resumed from the same file it keeps checkpointing
+    /// to, the resumed state is the delta base: later saves append to
+    /// the existing log instead of rewriting `O(T)`.
     fn adopt_resume_cursor<A: Checkpointable>(&mut self, acc: &A, resume_path: Option<&str>) {
-        if self.format != CkFormat::Bin
-            || self.path.is_none()
-            || self.path.as_deref() != resume_path
-        {
+        if self.path.is_none() || self.path.as_deref() != resume_path {
             return;
         }
-        // Only a *binary* snapshot can anchor a delta log: if the file
-        // being resumed is a JSON envelope, appending deltas next to it
-        // would write records no future resume ever reads (the JSON
-        // branch ignores the log). A full binary snapshot is written
-        // instead on the first save. The cursor is stamped with the
-        // snapshot's generation id so appended deltas are recognizably
-        // *this* snapshot's — a later run that overwrites the snapshot
-        // leaves them behind as skippable, not as corruption.
+        // The cursor is stamped with the snapshot's generation id so
+        // appended deltas are recognizably *this* snapshot's — a later
+        // run that overwrites the snapshot leaves them behind as
+        // skippable, not as corruption.
         let snapshot_bytes = self
             .path
             .as_deref()
-            .and_then(|p| std::fs::read(Path::new(p)).ok())
-            .filter(|bytes| bytes.starts_with(checkpoint::format::MAGIC));
+            .and_then(|p| std::fs::read(Path::new(p)).ok());
         if let Some(bytes) = snapshot_bytes {
             self.cursor = Some(
                 acc.cursor()
@@ -673,60 +660,45 @@ impl CheckpointSink {
     fn save<A: Checkpointable>(&mut self, acc: &A) -> Result<&'static str, String> {
         let path = self.path.clone().expect("save is only called with a path");
         let path = Path::new(&path);
-        match self.format {
-            CkFormat::Json => {
-                acc.checkpoint_json()
-                    .save(path)
-                    .map_err(|e| e.to_string())?;
-                // A JSON snapshot supersedes any stale binary delta log.
-                remove_delta_log(path)?;
-                Ok("snapshot written")
-            }
-            CkFormat::Bin => {
-                if let Some(cursor) = &self.cursor {
-                    match acc.delta_explained(cursor) {
-                        Ok(delta) => {
-                            let generation = cursor.generation();
-                            if !delta.is_empty() {
-                                delta
-                                    .append_to(&checkpoint::delta_log_path(path))
-                                    .map_err(|e| e.to_string())?;
-                                self.appended += 1;
-                            }
-                            if self.compact_after.is_some_and(|n| self.appended >= n) {
-                                let done = checkpoint::compact(path).map_err(|e| e.to_string())?;
-                                self.appended = 0;
-                                // The compacted snapshot is a new
-                                // generation; chain future deltas onto it.
-                                self.cursor = Some(acc.cursor().stamped(done.generation));
-                                return Ok("delta log compacted into snapshot");
-                            }
-                            // Later deltas keep chaining onto the same base
-                            // snapshot, so they carry its generation too.
-                            self.cursor = Some(acc.cursor().stamped(generation));
-                            return Ok("delta appended");
-                        }
-                        Err(reason) => {
-                            // An honest fallback: say *why* this save is a
-                            // full snapshot instead of an O(appended) delta.
-                            eprintln!(
-                                "checkpoint: delta cannot chain ({reason}); \
-                                 writing a full snapshot"
-                            );
-                        }
+        if let Some(cursor) = &self.cursor {
+            match acc.delta_explained(cursor) {
+                Ok(delta) => {
+                    let generation = cursor.generation();
+                    if !delta.is_empty() {
+                        delta
+                            .append_to(&checkpoint::delta_log_path(path))
+                            .map_err(|e| e.to_string())?;
+                        self.appended += 1;
                     }
+                    if self.compact_after.is_some_and(|n| self.appended >= n) {
+                        let done = checkpoint::compact(path).map_err(|e| e.to_string())?;
+                        self.appended = 0;
+                        // The compacted snapshot is a new generation;
+                        // chain future deltas onto it.
+                        self.cursor = Some(acc.cursor().stamped(done.generation));
+                        return Ok("delta log compacted into snapshot");
+                    }
+                    // Later deltas keep chaining onto the same base
+                    // snapshot, so they carry its generation too.
+                    self.cursor = Some(acc.cursor().stamped(generation));
+                    return Ok("delta appended");
                 }
-                let bytes = acc.checkpoint_bin();
-                checkpoint::write_atomic(path, &bytes).map_err(|e| e.to_string())?;
-                remove_delta_log(path)?;
-                self.appended = 0;
-                self.cursor = Some(
-                    acc.cursor()
-                        .stamped(checkpoint::snapshot_generation(&bytes)),
-                );
-                Ok("snapshot written")
+                Err(reason) => {
+                    // An honest fallback: say *why* this save is a full
+                    // snapshot instead of an O(appended) delta.
+                    eprintln!("checkpoint: delta cannot chain ({reason}); writing a full snapshot");
+                }
             }
         }
+        let bytes = acc.checkpoint_bin();
+        checkpoint::write_atomic(path, &bytes).map_err(|e| e.to_string())?;
+        remove_delta_log(path)?;
+        self.appended = 0;
+        self.cursor = Some(
+            acc.cursor()
+                .stamped(checkpoint::snapshot_generation(&bytes)),
+        );
+        Ok("snapshot written")
     }
 
     /// The end-of-audit save (after the summary queries, so a full
@@ -951,9 +923,8 @@ fn audit(opts: &Opts) -> Result<(), String> {
                     .into(),
             );
         }
-        // Sniffs the encoding: a v3 binary snapshot (replaying its
-        // FILE.delta log when present) or a JSON envelope of any
-        // supported version.
+        // A v3 binary snapshot, replaying its FILE.delta log when
+        // present; a JSON envelope from an earlier version is refused.
         return match checkpoint::resume_file(Path::new(path)).map_err(|e| e.to_string())? {
             SavedState::Tpl(acc) => audit_single(opts, acc, true),
             SavedState::Population(pop) => audit_population(opts, pop, None, true),

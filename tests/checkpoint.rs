@@ -2,7 +2,10 @@
 //! stopped-and-resumed accountant must be indistinguishable — bit for
 //! bit, and in loss-evaluation behavior — from one that never stopped.
 
-use tcdp::core::checkpoint::{Checkpoint, CheckpointKind, CHECKPOINT_VERSION};
+use tcdp::core::checkpoint::{
+    delta_log_path, resume_bytes, resume_file, write_atomic, CheckpointKind, SavedState,
+    CHECKPOINT_VERSION,
+};
 use tcdp::core::personalized::PopulationAccountant;
 use tcdp::core::{AdversaryT, TplAccountant, TplError};
 use tcdp::markov::TransitionMatrix;
@@ -19,8 +22,22 @@ fn to_bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Observe `budgets[..cut]`, checkpoint through JSON, resume, observe the
-/// rest — then compare against the uninterrupted run.
+fn tpl_of(state: SavedState) -> TplAccountant {
+    match state {
+        SavedState::Tpl(acc) => acc,
+        other => panic!("expected a solo accountant, got {:?}", other.kind()),
+    }
+}
+
+fn pop_of(state: SavedState) -> PopulationAccountant {
+    match state {
+        SavedState::Population(pop) => pop,
+        other => panic!("expected a population, got {:?}", other.kind()),
+    }
+}
+
+/// Observe `budgets[..cut]`, checkpoint through a binary snapshot,
+/// resume, observe the rest — then compare against the uninterrupted run.
 fn stop_and_resume(budgets: &[f64], cut: usize) -> (TplAccountant, TplAccountant) {
     let mut uninterrupted = TplAccountant::with_both(moderate(), mixed()).unwrap();
     let mut first_half = TplAccountant::with_both(moderate(), mixed()).unwrap();
@@ -34,13 +51,71 @@ fn stop_and_resume(budgets: &[f64], cut: usize) -> (TplAccountant, TplAccountant
         first_half.tpl_series().unwrap();
         uninterrupted.tpl_series().unwrap();
     }
-    let json = first_half.checkpoint().to_json();
-    let mut resumed = TplAccountant::resume(&Checkpoint::from_json(&json).unwrap()).unwrap();
+    let mut resumed = tpl_of(resume_bytes(&first_half.checkpoint_binary(), None).unwrap());
     for &b in &budgets[cut..] {
         resumed.observe_release(b).unwrap();
         uninterrupted.observe_release(b).unwrap();
     }
     (resumed, uninterrupted)
+}
+
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+}
+
+fn u64_at(bytes: &[u8], at: usize) -> usize {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
+}
+
+/// The offset of section `(tag, shard)`'s entry in a v3 container's
+/// section table: 24-byte entries `tag u32 · shard u32 · offset u64 ·
+/// length u64` after the 32-byte header, whose bytes 20..24 hold the
+/// entry count (see `tcdp::core::checkpoint::format`).
+fn entry(bytes: &[u8], tag: u32, shard: u32) -> usize {
+    (0..u32_at(bytes, 20) as usize)
+        .map(|i| 32 + 24 * i)
+        .find(|&e| u32_at(bytes, e) == tag && u32_at(bytes, e + 4) == shard)
+        .unwrap_or_else(|| panic!("snapshot has no section (tag {tag}, shard {shard})"))
+}
+
+/// The byte range of section `(tag, shard)`.
+fn section(bytes: &[u8], tag: u32, shard: u32) -> std::ops::Range<usize> {
+    let e = entry(bytes, tag, shard);
+    u64_at(bytes, e + 8)..u64_at(bytes, e + 8) + u64_at(bytes, e + 16)
+}
+
+const TAG_META: u32 = 1;
+const TAG_TIMELINE: u32 = 2;
+const TAG_BPL: u32 = 3;
+const TAG_MEMBERS: u32 = 6;
+
+/// Overwrite the same-length `needle` inside section `(tag, shard)`.
+fn doctor_json(bytes: &mut [u8], tag: u32, shard: u32, needle: &str, replacement: &str) {
+    assert_eq!(
+        needle.len(),
+        replacement.len(),
+        "doctoring keeps the length"
+    );
+    let range = section(bytes, tag, shard);
+    let at = bytes[range.clone()]
+        .windows(needle.len())
+        .position(|w| w == needle.as_bytes())
+        .unwrap_or_else(|| panic!("section (tag {tag}) holds {needle}"))
+        + range.start;
+    bytes[at..at + needle.len()].copy_from_slice(replacement.as_bytes());
+}
+
+/// Overwrite the first `f64` of section `(tag, shard)`.
+fn doctor_first_f64(bytes: &mut [u8], tag: u32, shard: u32, value: f64) {
+    let at = section(bytes, tag, shard).start;
+    bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+}
+
+fn corrupt_reason(state: tcdp::core::Result<SavedState>) -> String {
+    match state {
+        Err(TplError::CorruptCheckpoint(reason)) => reason,
+        other => panic!("expected a corrupt-checkpoint error, got {other:?}"),
+    }
 }
 
 #[test]
@@ -98,8 +173,7 @@ fn resume_preserves_loss_eval_count_behavior() {
         saved.observe_release(b).unwrap();
     }
     saved.tpl_series().unwrap();
-    let json = saved.checkpoint().to_json();
-    let mut resumed = TplAccountant::resume(&Checkpoint::from_json(&json).unwrap()).unwrap();
+    let mut resumed = tpl_of(resume_bytes(&saved.checkpoint_binary(), None).unwrap());
 
     // First: queries on the restored state are free (the series cache
     // came back with the checkpoint).
@@ -124,17 +198,21 @@ fn checkpoint_survives_file_round_trip() {
     let mut acc = TplAccountant::with_both(moderate(), mixed()).unwrap();
     acc.observe_uniform(0.1, 12).unwrap();
     acc.tpl_series().unwrap();
-    let path = std::env::temp_dir().join("tcdp_checkpoint_roundtrip.json");
-    acc.checkpoint().save(&path).unwrap();
-    let resumed = TplAccountant::resume(&Checkpoint::load(&path).unwrap()).unwrap();
+    let path = std::env::temp_dir().join(format!(
+        "tcdp_checkpoint_roundtrip_{}.bin",
+        std::process::id()
+    ));
+    write_atomic(&path, &acc.checkpoint_binary()).unwrap();
+    let resumed = tpl_of(resume_file(&path).unwrap());
     assert_eq!(
         to_bits(&resumed.tpl_series().unwrap()),
         to_bits(&acc.tpl_series().unwrap())
     );
     assert!(matches!(
-        Checkpoint::load(std::path::Path::new("/nonexistent/tcdp.json")),
+        resume_file(std::path::Path::new("/nonexistent/tcdp.bin")),
         Err(TplError::CheckpointIo(_))
     ));
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -154,10 +232,9 @@ fn population_checkpoint_round_trips_with_shards() {
         uninterrupted.observe_release(b).unwrap();
     }
     pop.tpl_series().unwrap();
-    let cp = pop.checkpoint();
-    assert_eq!(cp.kind(), CheckpointKind::PopulationAccountant);
-    let mut resumed =
-        PopulationAccountant::resume(&Checkpoint::from_json(&cp.to_json()).unwrap()).unwrap();
+    let state = resume_bytes(&pop.checkpoint_binary(), None).unwrap();
+    assert_eq!(state.kind(), CheckpointKind::PopulationAccountant);
+    let mut resumed = pop_of(state);
     assert_eq!(resumed.num_users(), 5);
     assert_eq!(resumed.num_groups(), 4);
     for &b in &budgets[2..] {
@@ -188,22 +265,42 @@ fn population_checkpoint_round_trips_with_shards() {
 
 #[test]
 fn corrupt_checkpoints_error_honestly() {
-    // Bad JSON.
-    assert!(matches!(
-        Checkpoint::from_json("][ garbage"),
-        Err(TplError::CorruptCheckpoint(_))
-    ));
-    // Valid JSON, wrong format tag.
-    assert!(matches!(
-        Checkpoint::from_json(r#"{"format":"other","version":2,"kind":"tpl-accountant"}"#),
-        Err(TplError::CorruptCheckpoint(_))
-    ));
+    // Garbage.
+    corrupt_reason(resume_bytes(b"][ garbage", None));
+    // JSON envelopes as earlier builds wrote them (v1, v2 and v3, solo
+    // and population), and JSON that is no checkpoint at all, are
+    // refused with the reason and the way out.
+    let json = [
+        r#"{"format":"tcdp-checkpoint","version":1,"kind":"tpl-accountant",
+            "payload":{"accountant":{"backward":null,"forward":null,
+                       "budgets":[0.1,0.1],"bpl":[0.1,0.1]},
+                       "series":null,"warm_backward":null,"warm_forward":null}}"#,
+        r#"  {"format":"tcdp-checkpoint","version":2.0,"kind":"tpl-accountant",
+            "payload":{"accountant":{"backward":null,"forward":null,
+                       "timeline":[0.1],"bpl":[0.1]}}}"#,
+        "{\n  \"format\": \"tcdp-checkpoint\",\n  \"version\": 3.0,\n  \
+         \"kind\": \"population-accountant\",\n  \"payload\": {\"num_users\": 1.0, \
+         \"groups\": []}\n}\n",
+        r#"{"format":"other","version":2,"kind":"tpl-accountant"}"#,
+    ];
+    for text in json {
+        let reason = corrupt_reason(resume_bytes(text.as_bytes(), None));
+        assert!(
+            reason.contains("JSON envelopes are no longer read"),
+            "{reason}"
+        );
+        assert!(
+            reason.contains("re-run the audit from its budget trail"),
+            "{reason}"
+        );
+    }
+    let mut acc = TplAccountant::with_both(moderate(), mixed()).unwrap();
+    acc.observe_uniform(0.1, 3).unwrap();
+    let good = acc.checkpoint_binary();
     // Unsupported version.
-    let future = format!(
-        r#"{{"format":"tcdp-checkpoint","version":{},"kind":"tpl-accountant","payload":{{}}}}"#,
-        CHECKPOINT_VERSION + 7
-    );
-    match Checkpoint::from_json(&future) {
+    let mut future = good.clone();
+    future[8..12].copy_from_slice(&(CHECKPOINT_VERSION + 7).to_le_bytes());
+    match resume_bytes(&future, None) {
         Err(TplError::CheckpointVersion { found, supported }) => {
             assert_eq!(found, CHECKPOINT_VERSION + 7);
             assert_eq!(supported, CHECKPOINT_VERSION);
@@ -211,111 +308,16 @@ fn corrupt_checkpoints_error_honestly() {
         other => panic!("expected version mismatch, got {other:?}"),
     }
     // Unknown kind.
-    assert!(matches!(
-        Checkpoint::from_json(
-            r#"{"format":"tcdp-checkpoint","version":2,"kind":"mystery","payload":{}}"#
-        ),
-        Err(TplError::CorruptCheckpoint(_))
-    ));
-    // Structurally valid envelope, hollow payload.
-    let hollow = r#"{"format":"tcdp-checkpoint","version":2,"kind":"tpl-accountant","payload":{}}"#;
-    let cp = Checkpoint::from_json(hollow).unwrap();
-    assert!(matches!(
-        TplAccountant::resume(&cp),
-        Err(TplError::CorruptCheckpoint(_))
-    ));
-}
-
-/// Version migration: a version-1 envelope — the pre-per-user-timeline
-/// format whose accountants stored the budget trail under `budgets` —
-/// and a version-2 envelope (current payload shape, older stamp) must
-/// both still *resume*, continuing the stream bit-identically; only
-/// versions this build does not know are rejected with the honest
-/// [`TplError::CheckpointVersion`] error. Feature-independent by
-/// construction (runs in the `--no-default-features` lane too).
-#[test]
-fn old_version_envelopes_still_resume() {
-    assert_eq!(CHECKPOINT_VERSION, 3, "bump this test alongside the format");
-    let v1 = r#"{
-      "format": "tcdp-checkpoint",
-      "version": 1,
-      "kind": "tpl-accountant",
-      "payload": {
-        "accountant": {"backward": null, "forward": null,
-                       "budgets": [0.1, 0.1], "bpl": [0.1, 0.1]},
-        "series": null, "warm_backward": null, "warm_forward": null
-      }
-    }"#;
-    let mut resumed = TplAccountant::resume(&Checkpoint::from_json(v1).unwrap()).unwrap();
-    assert_eq!(resumed.budgets(), vec![0.1, 0.1]);
-    resumed.observe_release(0.2).unwrap();
-    let mut live = TplAccountant::traditional();
-    for &b in &[0.1, 0.1, 0.2] {
-        live.observe_release(b).unwrap();
-    }
-    assert_eq!(
-        to_bits(&resumed.tpl_series().unwrap()),
-        to_bits(&live.tpl_series().unwrap())
-    );
-
-    // A v2 envelope restores through the same path, bit-identically to
-    // the v3 form of the same state.
-    let mut acc = TplAccountant::with_both(moderate(), mixed()).unwrap();
-    acc.observe_uniform(0.1, 5).unwrap();
-    acc.tpl_series().unwrap();
-    let v3 = acc.checkpoint().to_json();
-    let v2 = v3
-        .replace("\"version\":3.0", "\"version\":2")
-        .replace("\"version\":3,", "\"version\":2,");
-    assert_ne!(v2, v3, "the version stamp must have been rewritten");
-    let from_v2 = TplAccountant::resume(&Checkpoint::from_json(&v2).unwrap()).unwrap();
-    let from_v3 = TplAccountant::resume(&Checkpoint::from_json(&v3).unwrap()).unwrap();
-    assert_eq!(
-        to_bits(&from_v2.tpl_series().unwrap()),
-        to_bits(&from_v3.tpl_series().unwrap())
-    );
-
-    // A population v1 envelope migrates per shard.
-    let mut pop = PopulationAccountant::new(&[
-        AdversaryT::with_both(moderate(), moderate()).unwrap(),
-        AdversaryT::traditional(),
-    ])
-    .unwrap();
-    pop.observe_release(0.2).unwrap();
-    let pop_v1 = pop
-        .checkpoint()
-        .to_json()
-        .replace("\"timeline\":", "\"budgets\":")
-        .replace("\"version\":3.0", "\"version\":1")
-        .replace("\"version\":3,", "\"version\":1,");
-    let resumed_pop =
-        PopulationAccountant::resume(&Checkpoint::from_json(&pop_v1).unwrap()).unwrap();
-    assert_eq!(
-        to_bits(&resumed_pop.tpl_series().unwrap()),
-        to_bits(&pop.tpl_series().unwrap())
-    );
-
-    // A current-version envelope that smuggles the *old* field name is
-    // structurally corrupt, not silently empty.
-    let renamed = r#"{"format":"tcdp-checkpoint","version":3,"kind":"tpl-accountant",
-      "payload":{"accountant":{"backward":null,"forward":null,
-                 "budgets":[0.1],"bpl":[0.1]}}}"#;
-    let cp = Checkpoint::from_json(renamed).unwrap();
-    assert!(matches!(
-        TplAccountant::resume(&cp),
-        Err(TplError::CorruptCheckpoint(_))
-    ));
-    // A future version is still an honest rejection.
-    let future = v3
-        .replace("\"version\":3.0", "\"version\":9")
-        .replace("\"version\":3,", "\"version\":9,");
-    assert!(matches!(
-        Checkpoint::from_json(&future),
-        Err(TplError::CheckpointVersion {
-            found: 9,
-            supported: CHECKPOINT_VERSION
-        })
-    ));
+    let mut mystery = good.clone();
+    mystery[16..20].copy_from_slice(&9u32.to_le_bytes());
+    corrupt_reason(resume_bytes(&mystery, None));
+    // Structurally valid container, hollow payload: a bare header that
+    // declares no sections.
+    let mut hollow = good[..32].to_vec();
+    hollow[20..24].copy_from_slice(&0u32.to_le_bytes());
+    hollow[24..32].copy_from_slice(&32u64.to_le_bytes());
+    let reason = corrupt_reason(resume_bytes(&hollow, None));
+    assert!(reason.contains("missing meta section"), "{reason}");
 }
 
 #[test]
@@ -323,38 +325,50 @@ fn doctored_payloads_are_rejected_not_panicked() {
     let mut acc = TplAccountant::with_both(moderate(), mixed()).unwrap();
     acc.observe_uniform(0.1, 4).unwrap();
     acc.tpl_series().unwrap();
-    let json = acc.checkpoint().to_json();
+    let good = acc.checkpoint_binary();
+    assert!(resume_bytes(&good, None).is_ok());
 
     // A witness pointing past the matrix rows must be rejected (it
-    // would otherwise index out of bounds inside Algorithm 1). The
-    // prefix-replace turns whatever row index was stored into a huge one
-    // (e.g. `0.0` → `990.0`).
-    let doctored = json.replace("\"q_row\":", "\"q_row\":99");
-    match TplAccountant::resume(&Checkpoint::from_json(&doctored).unwrap()) {
-        Err(TplError::CorruptCheckpoint(reason)) => {
-            assert!(reason.contains("out of range"), "{reason}")
-        }
-        other => panic!("expected corrupt-checkpoint error, got {other:?}"),
+    // would otherwise index out of bounds inside Algorithm 1). The META
+    // section stores the warm witnesses as JSON; a 2-state row index is
+    // `0.0` or `1.0`, and `9.0` keeps the section length.
+    let meta = String::from_utf8_lossy(&good[section(&good, TAG_META, 0)]).into_owned();
+    let rows: Vec<&str> = ["\"q_row\":0.0", "\"q_row\":1.0"]
+        .into_iter()
+        .filter(|row| meta.contains(row))
+        .collect();
+    assert!(!rows.is_empty(), "the META section carries a warm witness");
+    for row in rows {
+        let mut doctored = good.clone();
+        doctor_json(&mut doctored, TAG_META, 0, row, "\"q_row\":9.0");
+        let reason = corrupt_reason(resume_bytes(&doctored, None));
+        assert!(reason.contains("out of range"), "{reason}");
     }
 
     // A negative budget smuggled into the trail is rejected.
-    let doctored = json.replace("\"timeline\":[0.1", "\"timeline\":[-0.1");
-    assert_ne!(doctored, json, "the budget trail must have been doctored");
-    let cp = Checkpoint::from_json(&doctored).unwrap();
-    assert!(matches!(
-        TplAccountant::resume(&cp),
-        Err(TplError::CorruptCheckpoint(_))
-    ));
+    let mut doctored = good.clone();
+    doctor_first_f64(&mut doctored, TAG_TIMELINE, 0, -0.1);
+    let reason = corrupt_reason(resume_bytes(&doctored, None));
+    assert!(reason.contains("non-positive"), "{reason}");
 
     // A negative BPL value is rejected too: it would be fed back into
     // `L(α)` as α and understate leakage until then.
-    let doctored = json.replace("\"bpl\":[0.1", "\"bpl\":[-0.1");
-    assert_ne!(doctored, json, "the bpl series must have been doctored");
-    let cp = Checkpoint::from_json(&doctored).unwrap();
-    assert!(matches!(
-        TplAccountant::resume(&cp),
-        Err(TplError::CorruptCheckpoint(_))
-    ));
+    let mut doctored = good.clone();
+    doctor_first_f64(&mut doctored, TAG_BPL, 0, -0.1);
+    let reason = corrupt_reason(resume_bytes(&doctored, None));
+    assert!(reason.contains("negative"), "{reason}");
+
+    // A BPL series shorter than its budget trail is rejected: shrink
+    // the BPL section's length field in the table by one float.
+    let e = entry(&good, TAG_BPL, 0);
+    let shorter = (section(&good, TAG_BPL, 0).len() - 8) as u64;
+    let mut doctored = good.clone();
+    doctored[e + 16..e + 24].copy_from_slice(&shorter.to_le_bytes());
+    let reason = corrupt_reason(resume_bytes(&doctored, None));
+    assert!(
+        reason.contains("does not match budget trail length"),
+        "{reason}"
+    );
 }
 
 #[test]
@@ -365,85 +379,60 @@ fn population_partition_is_validated() {
     ];
     let mut pop = PopulationAccountant::new(&adversaries).unwrap();
     pop.observe_release(0.2).unwrap();
-    let json = pop.checkpoint().to_json();
+    let good = pop.checkpoint_binary();
+    assert!(resume_bytes(&good, None).is_ok());
     // Claiming one more user than the shards cover must fail.
-    let doctored = json.replace("\"num_users\":2.0", "\"num_users\":3.0");
-    match PopulationAccountant::resume(&Checkpoint::from_json(&doctored).unwrap()) {
-        Err(TplError::CorruptCheckpoint(reason)) => {
-            assert!(reason.contains("no shard"), "{reason}")
-        }
-        other => panic!("expected corrupt-checkpoint error, got {other:?}"),
-    }
+    let mut doctored = good.clone();
+    doctor_json(
+        &mut doctored,
+        TAG_META,
+        0,
+        "\"num_users\":2.0",
+        "\"num_users\":3.0",
+    );
+    let reason = corrupt_reason(resume_bytes(&doctored, None));
+    assert!(reason.contains("no shard"), "{reason}");
 
     // Reordering the shards would silently flip the documented
     // lowest-index tie-break of `most_exposed_user`; resume rejects it.
-    let swapped = json
-        .replace("\"members\":[0.0]", "\"members\":[SWAP]")
-        .replace("\"members\":[1.0]", "\"members\":[0.0]")
-        .replace("\"members\":[SWAP]", "\"members\":[1.0]");
-    assert_ne!(swapped, json, "the shard order must have been doctored");
-    match PopulationAccountant::resume(&Checkpoint::from_json(&swapped).unwrap()) {
-        Err(TplError::CorruptCheckpoint(reason)) => {
-            assert!(reason.contains("ascending first member"), "{reason}")
-        }
-        other => panic!("expected corrupt-checkpoint error, got {other:?}"),
-    }
+    // Swap the two one-member MEMBERS sections.
+    let (first, second) = (
+        section(&good, TAG_MEMBERS, 0),
+        section(&good, TAG_MEMBERS, 1),
+    );
+    let mut swapped = good.clone();
+    swapped[first.clone()].copy_from_slice(&good[second.clone()]);
+    swapped[second].copy_from_slice(&good[first]);
+    let reason = corrupt_reason(resume_bytes(&swapped, None));
+    assert!(reason.contains("ascending first member"), "{reason}");
 }
 
 // ---------------------------------------------------------------------------
-// Binary (v3) snapshots, the corruption matrix, and delta replay
+// Snapshot restore equivalence, the corruption matrix, and delta replay
 // ---------------------------------------------------------------------------
 
-use tcdp::core::checkpoint::{delta_log_path, resume_bytes, resume_file, SavedState};
-
-fn tpl_of(state: SavedState) -> TplAccountant {
-    match state {
-        SavedState::Tpl(acc) => acc,
-        other => panic!("expected a solo accountant, got {:?}", other.kind()),
-    }
-}
-
-fn pop_of(state: SavedState) -> PopulationAccountant {
-    match state {
-        SavedState::Population(pop) => pop,
-        other => panic!("expected a population, got {:?}", other.kind()),
-    }
-}
-
-/// JSON and binary encodings restore the very same state: identical
-/// series bits, identical witness, identical (zero) eval cost for the
-/// first queries, identical continuation.
+/// A binary snapshot restores the very state it was taken from:
+/// identical series bits, identical (zero) eval cost for the first
+/// queries, identical continuation.
 #[test]
-fn binary_and_json_snapshots_restore_identically() {
+fn binary_snapshot_restores_identically() {
     let mut acc = TplAccountant::with_both(moderate(), mixed()).unwrap();
     for &b in &[0.3, 0.1, 0.2, 0.1, 0.25] {
         acc.observe_release(b).unwrap();
     }
-    acc.tpl_series().unwrap(); // warm cache + witnesses ride along
-    let from_json =
-        TplAccountant::resume(&Checkpoint::from_json(&acc.checkpoint().to_json()).unwrap())
-            .unwrap();
+    let live = acc.tpl_series().unwrap(); // warm cache + witnesses ride along
     let mut from_bin = tpl_of(resume_bytes(&acc.checkpoint_binary(), None).unwrap());
-    // Restored series serve without evaluations, in both encodings.
+    // Restored series serve without evaluations.
     assert_eq!(from_bin.loss_eval_count(), 0);
-    assert_eq!(
-        to_bits(&from_bin.tpl_series().unwrap()),
-        to_bits(&from_json.tpl_series().unwrap())
-    );
+    assert_eq!(to_bits(&from_bin.tpl_series().unwrap()), to_bits(&live));
     assert_eq!(from_bin.loss_eval_count(), 0);
-    // Continuations agree bit for bit with the live accountant.
-    let mut from_json = from_json;
+    // The continuation agrees bit for bit with the live accountant.
     for &b in &[0.15, 0.05] {
         acc.observe_release(b).unwrap();
         from_bin.observe_release(b).unwrap();
-        from_json.observe_release(b).unwrap();
     }
     assert_eq!(
         to_bits(&from_bin.tpl_series().unwrap()),
-        to_bits(&acc.tpl_series().unwrap())
-    );
-    assert_eq!(
-        to_bits(&from_json.tpl_series().unwrap()),
         to_bits(&acc.tpl_series().unwrap())
     );
 }
@@ -658,7 +647,7 @@ fn split_record_corruption_errors_honestly() {
 /// generation stamping keeps leftover records benign.
 #[test]
 fn compaction_of_thousand_record_log_is_bit_identical() {
-    use tcdp::core::checkpoint::{compact, snapshot_generation, write_atomic};
+    use tcdp::core::checkpoint::{compact, snapshot_generation};
     let dir = std::env::temp_dir();
     let path = dir.join(format!("tcdp_compact_{}.bin", std::process::id()));
 
@@ -735,7 +724,7 @@ fn compaction_of_thousand_record_log_is_bit_identical() {
 /// the typed zero-copy error.
 #[test]
 fn mmap_of_short_or_empty_file_errors_honestly() {
-    use tcdp::core::checkpoint::{write_atomic, MappedSnapshot};
+    use tcdp::core::checkpoint::MappedSnapshot;
     let dir = std::env::temp_dir();
     let path = dir.join(format!("tcdp_mmap_short_{}.bin", std::process::id()));
 
@@ -981,14 +970,15 @@ fn delta_refusal_names_shard_and_fold_point() {
     );
 }
 
-/// `resume_file` sniffs the encoding and replays the sibling delta log.
+/// `resume_file` replays the sibling delta log of a binary snapshot and
+/// tells a retired JSON envelope apart from it.
 #[test]
 fn resume_file_sniffs_format_and_replays_log() {
     let dir = std::env::temp_dir();
     let path = dir.join(format!("tcdp_resume_file_{}.bin", std::process::id()));
     let mut live = TplAccountant::with_both(moderate(), mixed()).unwrap();
     live.observe_uniform(0.1, 4).unwrap();
-    tcdp::core::checkpoint::write_atomic(&path, &live.checkpoint_binary()).unwrap();
+    write_atomic(&path, &live.checkpoint_binary()).unwrap();
     let cursor = live.delta_cursor();
     live.observe_release(0.2).unwrap();
     live.checkpoint_delta(&cursor)
@@ -1001,10 +991,17 @@ fn resume_file_sniffs_format_and_replays_log() {
         to_bits(&resumed.tpl_series().unwrap()),
         to_bits(&live.tpl_series().unwrap())
     );
-    // The same path holding JSON resumes through the JSON path.
-    live.checkpoint().save(&path).unwrap();
-    std::fs::remove_file(delta_log_path(&path)).unwrap();
-    let resumed = tpl_of(resume_file(&path).unwrap());
-    assert_eq!(resumed.len(), 5);
+    // The same path holding a JSON envelope is refused, not misread.
+    std::fs::write(
+        &path,
+        r#"{"format":"tcdp-checkpoint","version":3,"kind":"tpl-accountant","payload":{}}"#,
+    )
+    .unwrap();
+    let reason = corrupt_reason(resume_file(&path));
+    assert!(
+        reason.contains("JSON envelopes are no longer read"),
+        "{reason}"
+    );
+    std::fs::remove_file(delta_log_path(&path)).ok();
     std::fs::remove_file(&path).ok();
 }

@@ -191,7 +191,7 @@ fn audit_reads_json_budget_files() {
 #[test]
 fn audit_checkpoint_then_resume_is_byte_identical() {
     let dir = std::env::temp_dir();
-    let cp = dir.join("tcdp_cli_checkpoint.json");
+    let cp = dir.join("tcdp_cli_checkpoint.bin");
     let cp_arg = cp.display().to_string();
     let pb = "[[0.9,0.1],[0.2,0.8]]";
     let pf = "[[0.85,0.15],[0.1,0.9]]";
@@ -253,7 +253,7 @@ fn audit_checkpoint_then_resume_is_byte_identical() {
     assert_eq!(guarantees, 3, "{resumed}");
 
     // Resuming without new budgets re-summarizes the restored timeline.
-    let cp2 = dir.join("tcdp_cli_checkpoint2.json");
+    let cp2 = dir.join("tcdp_cli_checkpoint2.bin");
     let cp2_arg = cp2.display().to_string();
     run_ok(&[
         "audit",
@@ -268,6 +268,27 @@ fn audit_checkpoint_then_resume_is_byte_identical() {
     assert_eq!(summary(&full), summary(&summarized), "{summarized}");
 }
 
+/// A checkpoint as earlier versions of `audit --checkpoint` wrote it by
+/// default (a two-release trail under a backward correlation).
+const JSON_ENVELOPE: &str = r#"{
+  "format": "tcdp-checkpoint",
+  "version": 3.0,
+  "kind": "tpl-accountant",
+  "payload": {
+    "accountant": {
+      "backward": {"matrix": {"n": 2.0, "data": [0.9, 0.1, 0.2, 0.8]}},
+      "forward": null,
+      "timeline": [0.3, 0.1],
+      "bpl": [0.3, 0.3515],
+      "fold": null
+    },
+    "series": null,
+    "warm_backward": null,
+    "warm_forward": null
+  }
+}
+"#;
+
 #[test]
 fn audit_resume_rejects_bad_checkpoints() {
     let dir = std::env::temp_dir();
@@ -276,6 +297,17 @@ fn audit_resume_rejects_bad_checkpoints() {
     std::fs::write(&bad, "{\"not\": \"a checkpoint\"}").expect("write temp file");
     let err = run_err(&["audit", "--resume", &bad.display().to_string()]);
     assert!(err.contains("corrupt checkpoint"), "{err}");
+    // A JSON envelope as earlier versions wrote by default: refused with
+    // the reason and the way out, not a panic.
+    std::fs::write(&bad, JSON_ENVELOPE).expect("write temp file");
+    let err = run_err(&["audit", "--resume", &bad.display().to_string()]);
+    assert!(err.starts_with("error: corrupt checkpoint:"), "{err}");
+    assert!(err.contains("JSON envelopes are no longer read"), "{err}");
+    assert!(
+        err.contains("re-run the audit from its budget trail"),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
     // Missing file: honest io error.
     let err = run_err(&["audit", "--resume", "/nonexistent/tcdp.json"]);
     assert!(err.contains("checkpoint io error"), "{err}");
@@ -359,7 +391,7 @@ fn audit_population_reports_per_group_guarantees() {
 #[test]
 fn audit_population_checkpoint_and_resume() {
     let dir = std::env::temp_dir();
-    let cp = dir.join("tcdp_cli_population_checkpoint.json");
+    let cp = dir.join("tcdp_cli_population_checkpoint.bin");
     let cp_arg = cp.display().to_string();
     let spec = r#"[{"count": 2, "pb": [[0.9,0.1],[0.2,0.8]]}, {"count": 2}]"#;
     // Uninterrupted reference.
@@ -491,6 +523,46 @@ fn helpful_errors() {
     .contains("row 0"));
     assert!(run_err(&["supremum", "--matrix", "not json", "--eps", "0.1"]).contains("bad JSON"));
     assert!(run_err(&["quantify", "--eps"]).contains("needs a value"));
+    // A misspelt flag is refused with the usage hint, not ignored.
+    let cp = std::env::temp_dir().join(format!("tcdp_cli_misspelt_{}.bin", std::process::id()));
+    let cp_arg = cp.display().to_string();
+    let err = run_err(&[
+        "audit",
+        "--pb",
+        "[[0.9,0.1],[0.2,0.8]]",
+        "--budgets",
+        "0.1,0.2",
+        "--chekpoint",
+        &cp_arg,
+    ]);
+    assert!(err.contains("unknown flag --chekpoint"), "{err}");
+    assert!(err.contains("USAGE"), "{err}");
+    assert!(!cp.exists());
+    // So is the retired encoding switch.
+    let err = run_err(&[
+        "audit",
+        "--pb",
+        "[[0.9,0.1],[0.2,0.8]]",
+        "--budgets",
+        "0.1,0.2",
+        "--checkpoint",
+        &cp_arg,
+        "--checkpoint-format",
+        "bin",
+    ]);
+    assert!(err.contains("unknown flag --checkpoint-format"), "{err}");
+    assert!(!cp.exists());
+    // A flag another subcommand reads is still unknown here.
+    let err = run_err(&[
+        "supremum",
+        "--matrix",
+        "[[1,0],[0,1]]",
+        "--eps",
+        "0.1",
+        "--t",
+        "3",
+    ]);
+    assert!(err.contains("unknown flag --t"), "{err}");
     // Unbounded correlation is reported, not panicked.
     let err = run_err(&["plan", "--pb", "[[1,0],[0,1]]", "--alpha", "1.0"]);
     assert!(err.contains("deterministic-strength"), "{err}");
@@ -605,8 +677,6 @@ fn audit_binary_incremental_checkpoint_resume_is_byte_identical() {
         "0.3,0.1,0.2",
         "--checkpoint",
         &cp_arg,
-        "--checkpoint-format",
-        "bin",
         "--checkpoint-every",
         "2",
     ]);
@@ -623,8 +693,6 @@ fn audit_binary_incremental_checkpoint_resume_is_byte_identical() {
         "2,3,6",
         "--checkpoint",
         &cp_arg,
-        "--checkpoint-format",
-        "bin",
     ]);
     let summary = |s: &str| {
         s.lines()
@@ -643,37 +711,11 @@ fn audit_binary_incremental_checkpoint_resume_is_byte_identical() {
         "\nfull:\n{full}\nresumed:\n{resumed}"
     );
     assert!(resumed.contains("delta appended"), "{resumed}");
-    // And the JSON-checkpoint flow over the same split emits the very
-    // same summary (cross-format equivalence at the CLI surface).
-    let cp_json = dir.join(format!("tcdp_cli_bin_vs_json_{}.json", std::process::id()));
-    let cp_json_arg = cp_json.display().to_string();
-    run_ok(&[
-        "audit",
-        "--pb",
-        pb,
-        "--pf",
-        pf,
-        "--budgets",
-        "0.3,0.1,0.2",
-        "--checkpoint",
-        &cp_json_arg,
-    ]);
-    let resumed_json = run_ok(&[
-        "audit",
-        "--resume",
-        &cp_json_arg,
-        "--budgets",
-        "0.1,0.25,0.15",
-        "--w",
-        "2,3,6",
-    ]);
-    assert_eq!(summary(&resumed), summary(&resumed_json));
     // A third resume of the final binary state re-summarizes it.
     let resummarized = run_ok(&["audit", "--resume", &cp_arg, "--w", "2,3,6"]);
     assert_eq!(summary(&full), summary(&resummarized));
     std::fs::remove_file(&cp).ok();
     std::fs::remove_file(&delta).ok();
-    std::fs::remove_file(&cp_json).ok();
 }
 
 #[test]
@@ -699,8 +741,6 @@ fn audit_population_binary_checkpoint_round_trips() {
         "0.1,0.2",
         "--checkpoint",
         &cp_arg,
-        "--checkpoint-format",
-        "bin",
     ]);
     let resumed = run_ok(&[
         "audit",
@@ -836,6 +876,17 @@ fn audit_checkpoint_every_validates_flags() {
         err.contains("--checkpoint-every must be at least 1"),
         "{err}"
     );
+    // --compact-after needs only a checkpoint path, not a format flag.
+    let err = run_err(&[
+        "audit",
+        "--pb",
+        "[[0.9,0.1],[0.2,0.8]]",
+        "--budgets",
+        "0.1",
+        "--compact-after",
+        "2",
+    ]);
+    assert!(err.contains("--compact-after needs --checkpoint"), "{err}");
     let err = run_err(&[
         "audit",
         "--pb",
@@ -844,10 +895,10 @@ fn audit_checkpoint_every_validates_flags() {
         "0.1",
         "--checkpoint",
         "/tmp/x.bin",
-        "--checkpoint-format",
-        "yaml",
+        "--compact-after",
+        "0",
     ]);
-    assert!(err.contains("expected 'json' or 'bin'"), "{err}");
+    assert!(err.contains("--compact-after must be at least 1"), "{err}");
 }
 
 #[test]
@@ -897,58 +948,4 @@ fn audit_horizon_validates_and_folds() {
         folded.contains("user-level (Corollary 1): 3.0000"),
         "{folded}"
     );
-}
-
-/// Regression: resuming a *JSON* checkpoint while checkpointing back to
-/// the same path in binary mode must write a real binary snapshot — not
-/// adopt a delta cursor and append records next to a JSON file that the
-/// resume path would never read (silently dropping the new releases).
-#[test]
-fn resuming_json_checkpoint_in_binary_mode_writes_a_real_snapshot() {
-    let dir = std::env::temp_dir();
-    let cp = dir.join(format!("tcdp_cli_json_to_bin_{}.json", std::process::id()));
-    let cp_arg = cp.display().to_string();
-    let pb = "[[0.9,0.1],[0.2,0.8]]";
-    run_ok(&[
-        "audit",
-        "--pb",
-        pb,
-        "--budgets",
-        "0.3,0.1",
-        "--checkpoint",
-        &cp_arg,
-    ]);
-    // The file is JSON; now resume it and checkpoint back in binary.
-    let resumed = run_ok(&[
-        "audit",
-        "--resume",
-        &cp_arg,
-        "--budgets",
-        "0.2",
-        "--checkpoint",
-        &cp_arg,
-        "--checkpoint-format",
-        "bin",
-    ]);
-    assert!(resumed.contains("snapshot written"), "{resumed}");
-    let bytes = std::fs::read(&cp).expect("checkpoint exists");
-    assert!(
-        bytes.starts_with(b"TCDPCKPT"),
-        "the save must have produced a binary snapshot"
-    );
-    assert!(
-        !dir.join(format!(
-            "tcdp_cli_json_to_bin_{}.json.delta",
-            std::process::id()
-        ))
-        .exists(),
-        "no orphan delta log next to what was a JSON snapshot"
-    );
-    // The full trail survives a further resume.
-    let summary = run_ok(&["audit", "--resume", &cp_arg]);
-    assert!(
-        summary.contains("user-level (Corollary 1): 0.6"),
-        "{summary}"
-    );
-    std::fs::remove_file(&cp).ok();
 }

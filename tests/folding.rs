@@ -4,7 +4,7 @@
 //! bit-identical to the unfolded reference.
 
 use tcdp::core::checkpoint::{
-    delta_log_path, resume_file, snapshot_generation, write_atomic, SavedState,
+    delta_log_path, resume_bytes, resume_file, snapshot_generation, write_atomic, SavedState,
 };
 use tcdp::core::composition::{sequence_guarantee, w_event_guarantee};
 use tcdp::core::TplAccountant;
@@ -305,12 +305,12 @@ fn w_event_state_survives_checkpoint_round_trips() {
         Some(f64::INFINITY)
     );
 
-    // JSON carries it too.
-    let json = live.checkpoint().to_json();
-    let jf = TplAccountant::resume(&tcdp::core::checkpoint::Checkpoint::from_json(&json).unwrap())
-        .unwrap();
+    // A full snapshot carries it too.
+    let SavedState::Tpl(full) = resume_bytes(&live.checkpoint_binary(), None).unwrap() else {
+        panic!("expected a solo accountant");
+    };
     assert_eq!(
-        jf.folded_w_event_bound(3).unwrap().unwrap().to_bits(),
+        full.folded_w_event_bound(3).unwrap().unwrap().to_bits(),
         live.folded_w_event_bound(3).unwrap().unwrap().to_bits()
     );
 

@@ -26,7 +26,7 @@ use tcdp::core::checkpoint::{resume_bytes, SavedState};
 use tcdp::core::personalized::PopulationAccountant;
 use tcdp::core::supremum::{leakage_series, supremum_of_matrix, Supremum};
 use tcdp::core::{
-    quantified_plan, upper_bound_plan, AdversaryT, Checkpoint, TemporalLossFunction, TplAccountant,
+    quantified_plan, upper_bound_plan, AdversaryT, TemporalLossFunction, TplAccountant,
 };
 use tcdp::data::roadnet::roadnet_like;
 use tcdp::markov::{MarkovChain, TransitionMatrix};
@@ -422,21 +422,21 @@ proptest! {
                     w_event_guarantee(&acc, 1 + i % observed).unwrap();
                 }
                 3 => {
-                    // A restored accountant starts with cold caches and
-                    // must continue the stream seamlessly.
-                    let json = serde_json::to_string(&acc).unwrap();
-                    acc = serde_json::from_str(&json).unwrap();
+                    // A snapshot taken before any query at this revision
+                    // carries no series: the restored accountant starts
+                    // with a cold cache and must continue the stream
+                    // seamlessly.
+                    acc.observe_release(budgets[observed % budgets.len()]).unwrap();
+                    acc = match resume_bytes(&acc.checkpoint_binary(), None).unwrap() {
+                        SavedState::Tpl(a) => a,
+                        _ => unreachable!("tpl snapshot"),
+                    };
                 }
-                4 => {
+                4 | 5 => {
                     // A checkpointed-and-resumed accountant carries its
-                    // caches and warm witnesses along and must also
-                    // continue the stream seamlessly.
-                    let json = acc.checkpoint().to_json();
-                    acc = TplAccountant::resume(&Checkpoint::from_json(&json).unwrap()).unwrap();
-                }
-                5 => {
-                    // The binary (v3) snapshot restores the very same
-                    // state through the shared validation path.
+                    // caches and warm witnesses along through the
+                    // validated restore path and must also continue the
+                    // stream seamlessly.
                     let bytes = acc.checkpoint_binary();
                     acc = match resume_bytes(&bytes, None).unwrap() {
                         SavedState::Tpl(a) => a,
@@ -566,12 +566,7 @@ proptest! {
                     folded.set_horizon(Some(horizon)).unwrap();
                     armed = true;
                 }
-                3 => {
-                    // Serde round-trip of the (possibly folded) state.
-                    let json = serde_json::to_string(&folded).unwrap();
-                    folded = serde_json::from_str(&json).unwrap();
-                }
-                4 => {
+                3 | 4 => {
                     // Binary snapshot + resume while folded.
                     let bytes = folded.checkpoint_binary();
                     folded = match resume_bytes(&bytes, None).unwrap() {
@@ -708,9 +703,10 @@ proptest! {
             pop.observe_release(b).unwrap();
             uninterrupted.observe_release(b).unwrap();
         }
-        let json = pop.checkpoint().to_json();
-        let mut resumed =
-            PopulationAccountant::resume(&Checkpoint::from_json(&json).unwrap()).unwrap();
+        let mut resumed = match resume_bytes(&pop.checkpoint_binary(), None).unwrap() {
+            SavedState::Population(p) => p,
+            _ => unreachable!("population snapshot"),
+        };
         for &b in &budgets[cut..] {
             resumed.observe_release(b).unwrap();
             uninterrupted.observe_release(b).unwrap();
@@ -951,9 +947,10 @@ proptest! {
                 // population: the resumed accountant must keep matching
                 // the naive reference (and keep its timeline sharing).
                 let timelines = pop.num_timelines();
-                let json = pop.checkpoint().to_json();
-                pop = PopulationAccountant::resume(
-                    &Checkpoint::from_json(&json).unwrap()).unwrap();
+                pop = match resume_bytes(&pop.checkpoint_binary(), None).unwrap() {
+                    SavedState::Population(p) => p,
+                    _ => unreachable!("population snapshot"),
+                };
                 prop_assert_eq!(pop.num_timelines(), timelines);
             }
             // Timeline classes never exceed the distinct budget
@@ -1101,8 +1098,10 @@ fn ten_thousand_users_with_eight_timelines_match_naive_reference() {
         }
         if t == 2 {
             // Stop and resume mid-stream; the audit must not notice.
-            let json = pop.checkpoint().to_json();
-            pop = PopulationAccountant::resume(&Checkpoint::from_json(&json).unwrap()).unwrap();
+            pop = match resume_bytes(&pop.checkpoint_binary(), None).unwrap() {
+                SavedState::Population(p) => p,
+                _ => unreachable!("population snapshot"),
+            };
         }
     }
     assert_eq!(pop.num_timelines(), TIERS, "8 distinct budget timelines");
