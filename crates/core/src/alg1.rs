@@ -85,14 +85,12 @@
 //!   lock per probe. [`temporal_loss_many_indexed`] is the one-call
 //!   batched API on top of it.
 //!
-//! With the (default-on) `parallel` feature the row-pair sweep fans out
-//! across threads via `std::thread::scope` (the offline build container
-//! cannot fetch rayon; the fan-out shape is the same `par_iter`-style
-//! contiguous chunking). Each worker prunes against its own local best
-//! seeded from the warm witness, and the final merge uses the same
-//! deterministic total order as the serial path — maximum value, ties
-//! broken toward the lowest `(q_row, d_row)` — so parallel results are
-//! bit-identical to serial ones.
+//! Every evaluation runs one serial pruned sweep on the calling thread.
+//! Its incumbent order — maximum value, ties broken toward the lowest
+//! `(q_row, d_row)` — is the naive row-major sweep's, so pruning and
+//! warm starts never change a result. Parallelism lives above this
+//! module: across tenants and requests, and across the population's
+//! shards ([`crate::personalized`]).
 //!
 //! # Hardware layout: lane-width kernels and struct-of-arrays
 //!
@@ -136,12 +134,11 @@
 //!   of an array of structs. The pruned sweep's hot loop touches only
 //!   `g0[i]` until the early-break fires and only `rmax[i]` for skips,
 //!   so those passes are linear prefetch-friendly scans of dense f64
-//!   memory with 3× less traffic than the old 24-byte stride, and the
-//!   parallel fan-out hands each worker a contiguous slice of all three
-//!   arrays. Build cost also drops: the per-pair `g₀`/`r_max` reduction
-//!   seeds from the numerator row's support list (`O(nnz)` on sparse
-//!   rows — a candidate needs `q_j > d_j ≥ 0`) and runs lane-chunked on
-//!   dense rows.
+//!   memory with 3× less traffic than the old 24-byte stride. Build
+//!   cost also drops: the per-pair `g₀`/`r_max` reduction seeds from
+//!   the numerator row's support list (`O(nnz)` on sparse rows — a
+//!   candidate needs `q_j > d_j ≥ 0`) and runs lane-chunked on dense
+//!   rows.
 //!
 //! The scalar reference kernel ([`Kernel::Scalar`]) is retained —
 //! selectable through every entry point via [`PairIndex::with_kernel`] /
@@ -761,10 +758,10 @@ impl Incumbent {
         }
     }
 
-    /// The deterministic total order all sweep variants share: maximum
+    /// The deterministic total order every sweep shares: maximum
     /// objective, ties broken toward the lowest `(q_row, d_row)` — which
     /// is exactly what the naive row-major first-strict-max sweep picks,
-    /// and what makes serial, pruned, and parallel results identical.
+    /// and what makes pruned and unpruned results identical.
     fn beats(&self, other: &Incumbent) -> bool {
         self.obj > other.obj
             || (self.obj == other.obj && (self.q_row, self.d_row) < (other.q_row, other.d_row))
@@ -782,25 +779,26 @@ impl Incumbent {
 /// re-examining the rare pair sitting within a whisker of the incumbent.
 const BOUND_SLACK: f64 = 1.0 + 8.0 * f64::EPSILON;
 
-/// Sweep a contiguous `range` of the sorted pair index, updating `best`
-/// in place. `skip` is the packed id of a pair already accounted for
-/// (the warm witness), which must not be re-solved, or [`NO_SKIP`].
+/// Run the pruned sweep over the whole sorted pair index, starting from
+/// the incumbent `init` (the sentinel, or the re-validated warm witness).
+/// `skip` is the packed id of a pair already accounted for (the warm
+/// witness), which must not be re-solved, or [`NO_SKIP`]. Deterministic:
+/// every candidate is merged through [`Incumbent::beats`].
 ///
 /// The SoA layout makes the two pruning comparisons below straight
 /// streaming loads from the dense `g0`/`rmax` arrays; a pair's rows are
 /// only touched (and its id unpacked) after it survives both bounds.
-#[allow(clippy::too_many_arguments)] // internal hot loop; one arg per sweep input
-fn sweep_range(
+fn sweep_index(
     matrix: &TransitionMatrix,
     index: &PairIndex,
-    range: std::ops::Range<usize>,
     em1: f64,
-    best: &mut Incumbent,
+    init: Incumbent,
     skip: u64,
     scratch: &mut SweepScratch,
     kernel: Kernel,
-) {
-    for i in range {
+) -> Incumbent {
+    let mut best = init;
+    for i in 0..index.len() {
         // Pairs are sorted by g₀ descending, so the gap bound only
         // shrinks from here on: the first pair it excludes ends the
         // sweep (either bound below the incumbent excludes a pair — the
@@ -828,111 +826,10 @@ fn sweep_range(
             q_sum: q,
             d_sum: d,
         };
-        if cand.beats(best) {
-            *best = cand;
+        if cand.beats(&best) {
+            best = cand;
         }
     }
-}
-
-/// Minimum number of informative pairs before the sweep fans out across
-/// threads (below this the spawn overhead dominates).
-#[cfg(feature = "parallel")]
-const PARALLEL_MIN_PAIRS: usize = 256;
-
-/// Fan the pruned sweep out over `threads` workers on contiguous chunks
-/// of the sorted index, each pruning against a local incumbent seeded
-/// from `init`, then merge deterministically through
-/// [`Incumbent::beats`] — the same total order the serial sweep applies,
-/// so the result is bit-identical regardless of chunking.
-#[cfg(feature = "parallel")]
-fn sweep_parallel(
-    matrix: &TransitionMatrix,
-    index: &PairIndex,
-    em1: f64,
-    init: Incumbent,
-    skip: u64,
-    threads: usize,
-    kernel: Kernel,
-) -> Incumbent {
-    let threads = threads.min(index.len()).max(1);
-    let chunk = index.len().div_ceil(threads);
-    let locals = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let lo = t * chunk;
-                let hi = (lo + chunk).min(index.len());
-                scope.spawn(move || {
-                    let mut local = init;
-                    let mut scratch = SweepScratch::with_capacity(index.n());
-                    sweep_range(
-                        matrix,
-                        index,
-                        lo..hi,
-                        em1,
-                        &mut local,
-                        skip,
-                        &mut scratch,
-                        kernel,
-                    );
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(local) => local,
-                // A worker panic is a bug in the sweep kernel itself;
-                // re-raise it with its original payload instead of
-                // wrapping it in a fresh panic at the join point.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect::<Vec<_>>()
-    });
-    let mut best = init;
-    for local in locals {
-        if local.beats(&best) {
-            best = local;
-        }
-    }
-    best
-}
-
-/// Run the pruned sweep over the whole index, fanning out across threads
-/// when the `parallel` feature is on and the index is large enough.
-/// Deterministic: every variant merges through [`Incumbent::beats`].
-/// `scratch` is the caller's reusable buffer set (the serial path sweeps
-/// through it; parallel workers bring their own).
-fn sweep_index(
-    matrix: &TransitionMatrix,
-    index: &PairIndex,
-    em1: f64,
-    init: Incumbent,
-    skip: u64,
-    scratch: &mut SweepScratch,
-    kernel: Kernel,
-) -> Incumbent {
-    #[cfg(feature = "parallel")]
-    {
-        let threads = std::thread::available_parallelism().map_or(1, usize::from);
-        // Warm-started sweeps (init above the sentinel) almost always
-        // early-break after a handful of bound checks; the fan-out only
-        // pays for itself on cold sweeps over a large index.
-        if init.obj == 1.0 && index.len() >= PARALLEL_MIN_PAIRS && threads > 1 {
-            return sweep_parallel(matrix, index, em1, init, skip, threads, kernel);
-        }
-    }
-    let mut best = init;
-    sweep_range(
-        matrix,
-        index,
-        0..index.len(),
-        em1,
-        &mut best,
-        skip,
-        scratch,
-        kernel,
-    );
     best
 }
 
@@ -1200,56 +1097,6 @@ pub fn temporal_loss_many_indexed(
         .iter()
         .map(|&a| session.witness(a).cloned())
         .collect()
-}
-
-/// Evaluate `L(α)` with the parallel sweep forced onto an explicit
-/// worker count, regardless of [`std::thread::available_parallelism`] or
-/// the index-size threshold — the determinism hook the property tests
-/// use to hold parallel results bit-identical to serial ones even on
-/// single-core machines.
-#[cfg(feature = "parallel")]
-pub fn temporal_loss_witness_forced_parallel(
-    matrix: &TransitionMatrix,
-    alpha: f64,
-    threads: usize,
-) -> Result<LossWitness> {
-    temporal_loss_witness_forced_parallel_with_kernel(matrix, alpha, threads, Kernel::Chunked)
-}
-
-/// [`temporal_loss_witness_forced_parallel`] with an explicit inner-loop
-/// kernel — the property tests' full determinism grid (thread count ×
-/// kernel), every cell of which must agree bit-for-bit.
-#[cfg(feature = "parallel")]
-pub fn temporal_loss_witness_forced_parallel_with_kernel(
-    matrix: &TransitionMatrix,
-    alpha: f64,
-    threads: usize,
-    kernel: Kernel,
-) -> Result<LossWitness> {
-    check_alpha(alpha)?;
-    let index = PairIndex::with_kernel(matrix, kernel);
-    if matrix.n() < 2 || alpha == 0.0 || index.is_empty() {
-        return Ok(LossWitness::zero());
-    }
-    let em1 = alpha.exp_m1();
-    let best = sweep_parallel(
-        matrix,
-        &index,
-        em1,
-        Incumbent::sentinel(),
-        NO_SKIP,
-        threads,
-        kernel,
-    );
-    let mut scratch = SweepScratch::with_capacity(matrix.n());
-    Ok(finalize_witness(
-        matrix,
-        &index,
-        em1,
-        best,
-        &mut scratch,
-        kernel,
-    ))
 }
 
 /// Evaluate `L(α)` over all ordered row pairs of `matrix` (Algorithm 1
@@ -1766,27 +1613,6 @@ mod tests {
                 let fast = temporal_loss_witness(&p, alpha).unwrap();
                 let naive = temporal_loss_witness_unpruned(&p, alpha).unwrap();
                 assert_eq!(fast, naive, "n={n} alpha={alpha}");
-            }
-        }
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_sweep_is_bit_identical_across_thread_counts() {
-        // Forced onto 1..=7 workers (more workers than this container has
-        // cores is fine — std threads multiplex), every fan-out must
-        // reproduce the serial witness exactly: same value bits, same
-        // maximizing pair, same active set.
-        let mut rng = StdRng::seed_from_u64(9);
-        for n in [5usize, 17, 40] {
-            let p = TransitionMatrix::random_uniform(n, &mut rng).unwrap();
-            for alpha in [0.05, 1.0, 10.0, 80.0] {
-                let serial = temporal_loss_witness_unpruned(&p, alpha).unwrap();
-                for threads in [1usize, 2, 3, 7] {
-                    let par = temporal_loss_witness_forced_parallel(&p, alpha, threads).unwrap();
-                    assert_eq!(par, serial, "n={n} alpha={alpha} threads={threads}");
-                    assert_eq!(par.value.to_bits(), serial.value.to_bits());
-                }
             }
         }
     }

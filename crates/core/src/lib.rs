@@ -96,8 +96,7 @@ pub use checkpoint::{
 pub use loss::{LossEvaluator, TemporalLossFunction};
 pub use release::{quantified_plan, upper_bound_plan, DptReleaser, ReleasePlan};
 pub use shared::{
-    AccountantReader, AccountantWriter, PopulationReader, PopulationWriter, Snapshot, TplReader,
-    TplWriter, Versioned,
+    AccountantReader, AccountantWriter, PopulationReader, PopulationWriter, Snapshot, Versioned,
 };
 pub use supremum::{
     epsilon_for_supremum, supremum_of_evaluator, supremum_of_loss, supremum_of_loss_many,

@@ -14,9 +14,10 @@
 //!   adversary models *and* equal budget timelines share one
 //!   [`TplAccountant`] (their series are identical by construction), so
 //!   cost scales with the number of distinct (pattern, timeline) classes,
-//!   not the number of users, and shards fan out across threads behind
-//!   the default-on `parallel` feature. On a population-wide budget
-//!   stream ([`PopulationAccountant::observe_release`]) the shard count
+//!   not the number of users, and populations of at least
+//!   `PARALLEL_MIN_GROUPS` shards fan them out across the host's cores.
+//!   On a population-wide budget stream
+//!   ([`PopulationAccountant::observe_release`]) the shard count
 //!   equals the number of distinct adversaries, exactly as before;
 //!   [`PopulationAccountant::observe_release_personalized`] lets user
 //!   ranges receive *different* budgets, splitting shards copy-on-write
@@ -35,14 +36,21 @@ use crate::adversary::AdversaryT;
 use crate::release::{population_plan, quantified_plan, upper_bound_plan, PlanKind, ReleasePlan};
 use crate::{check_epsilon, Result, TplError};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tcdp_mech::budget::BudgetTimeline;
 
 /// Minimum number of distinct-adversary shards before a population
 /// operation fans out across threads (below this the spawn overhead
 /// dominates the per-shard work).
-#[cfg(feature = "parallel")]
 const PARALLEL_MIN_GROUPS: usize = 4;
+
+/// The host's core count, read once per process: the read can cost
+/// tens of microseconds (it consults cgroup limits), far more than a
+/// small shard's whole observe.
+fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
 
 /// One accounting shard: every user whose adversary model equals
 /// `adversary` *and* whose budget timeline is the shard's, sharing a
@@ -76,11 +84,12 @@ struct UserGroup {
 /// per distinct timeline, not once per shard member.
 ///
 /// Observation and queries fan the shards out across threads via
-/// `std::thread::scope` behind the default-on `parallel` feature; shard
-/// results are merged in deterministic group order, so sharded answers
-/// are bit-identical to the serial path (and to naive per-user
-/// accounting — property-tested in `tests/properties.rs`, including
-/// heterogeneous-timeline populations).
+/// `std::thread::scope` once there are at least `PARALLEL_MIN_GROUPS`
+/// shards and more than one core; shard results are merged in
+/// deterministic group order, so sharded answers are bit-identical to
+/// the serial path (and to naive per-user accounting — property-tested
+/// in `tests/properties.rs`, including heterogeneous-timeline
+/// populations).
 #[derive(Debug)]
 pub struct PopulationAccountant {
     /// Shards sorted by ascending minimum member index: `groups[g]`'s
@@ -461,14 +470,14 @@ impl PopulationAccountant {
         self.groups.iter().map(|g| (g.members.as_slice(), &g.acc))
     }
 
-    /// The thread count the default entry points fan out over: 1 (serial)
-    /// unless the `parallel` feature is on and there are enough shards.
+    /// The thread count the default entry points fan out over: the
+    /// host's core count once there are enough shards, else 1 (serial).
     fn default_threads(&self) -> usize {
-        #[cfg(feature = "parallel")]
         if self.groups.len() >= PARALLEL_MIN_GROUPS {
-            return std::thread::available_parallelism().map_or(1, usize::from);
+            host_cores()
+        } else {
+            1
         }
-        1
     }
 
     /// Run `f` over every shard (immutably), fanning contiguous chunks
@@ -481,31 +490,27 @@ impl PopulationAccountant {
         threads: usize,
         f: impl Fn(&UserGroup) -> Result<T> + Sync,
     ) -> Result<Vec<T>> {
-        #[cfg(feature = "parallel")]
-        {
-            let threads = threads.clamp(1, groups.len().max(1));
-            if threads > 1 {
-                let chunk = groups.len().div_ceil(threads);
-                let f = &f;
-                let collected = std::thread::scope(|scope| {
-                    let handles: Vec<_> = groups
-                        .chunks(chunk)
-                        .map(|part| scope.spawn(move || part.iter().map(f).collect::<Vec<_>>()))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| match h.join() {
-                            Ok(part) => part,
-                            // Re-raise a shard worker's panic with its
-                            // original payload at the join point.
-                            Err(payload) => std::panic::resume_unwind(payload),
-                        })
-                        .collect::<Vec<_>>()
-                });
-                return collected.into_iter().collect();
-            }
+        let threads = threads.clamp(1, groups.len().max(1));
+        if threads > 1 {
+            let chunk = groups.len().div_ceil(threads);
+            let f = &f;
+            let collected = std::thread::scope(|scope| {
+                let handles: Vec<_> = groups
+                    .chunks(chunk)
+                    .map(|part| scope.spawn(move || part.iter().map(f).collect::<Vec<_>>()))
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| match h.join() {
+                        Ok(part) => part,
+                        // Re-raise a shard worker's panic with its
+                        // original payload at the join point.
+                        Err(payload) => std::panic::resume_unwind(payload),
+                    })
+                    .collect::<Vec<_>>()
+            });
+            return collected.into_iter().collect();
         }
-        let _ = threads;
         groups.iter().map(f).collect()
     }
 
@@ -520,31 +525,27 @@ impl PopulationAccountant {
         threads: usize,
         f: impl Fn(&mut UserGroup) -> Result<T> + Sync,
     ) -> Result<Vec<T>> {
-        #[cfg(feature = "parallel")]
-        {
-            let threads = threads.clamp(1, groups.len().max(1));
-            if threads > 1 {
-                let chunk = groups.len().div_ceil(threads);
-                let f = &f;
-                let collected = std::thread::scope(|scope| {
-                    let handles: Vec<_> = groups
-                        .chunks_mut(chunk)
-                        .map(|part| scope.spawn(move || part.iter_mut().map(f).collect::<Vec<_>>()))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| match h.join() {
-                            Ok(part) => part,
-                            // Re-raise a shard worker's panic with its
-                            // original payload at the join point.
-                            Err(payload) => std::panic::resume_unwind(payload),
-                        })
-                        .collect::<Vec<_>>()
-                });
-                return collected.into_iter().collect();
-            }
+        let threads = threads.clamp(1, groups.len().max(1));
+        if threads > 1 {
+            let chunk = groups.len().div_ceil(threads);
+            let f = &f;
+            let collected = std::thread::scope(|scope| {
+                let handles: Vec<_> = groups
+                    .chunks_mut(chunk)
+                    .map(|part| scope.spawn(move || part.iter_mut().map(f).collect::<Vec<_>>()))
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| match h.join() {
+                        Ok(part) => part,
+                        // Re-raise a shard worker's panic with its
+                        // original payload at the join point.
+                        Err(payload) => std::panic::resume_unwind(payload),
+                    })
+                    .collect::<Vec<_>>()
+            });
+            return collected.into_iter().collect();
         }
-        let _ = threads;
         let attempted: Vec<Result<T>> = groups.iter_mut().map(f).collect();
         attempted.into_iter().collect()
     }
@@ -560,7 +561,6 @@ impl PopulationAccountant {
     /// [`Self::observe_release`] forced onto an explicit worker count —
     /// the differential-test hook holding sharded observation
     /// bit-identical to serial regardless of the host's parallelism.
-    #[cfg(feature = "parallel")]
     pub fn observe_release_forced_parallel(&mut self, eps: f64, threads: usize) -> Result<()> {
         self.observe_release_sharded(eps, threads)
     }
@@ -603,7 +603,6 @@ impl PopulationAccountant {
 
     /// [`Self::observe_release_personalized`] forced onto an explicit
     /// worker count (differential-test hook).
-    #[cfg(feature = "parallel")]
     pub fn observe_release_personalized_forced_parallel(
         &mut self,
         assignments: &[(Range<usize>, f64)],
@@ -811,7 +810,6 @@ impl PopulationAccountant {
     }
 
     /// [`Self::tpl_series`] forced onto an explicit worker count.
-    #[cfg(feature = "parallel")]
     pub fn tpl_series_forced_parallel(&self, threads: usize) -> Result<Vec<f64>> {
         self.tpl_series_sharded(threads)
     }
@@ -847,7 +845,6 @@ impl PopulationAccountant {
     }
 
     /// [`Self::max_tpl`] forced onto an explicit worker count.
-    #[cfg(feature = "parallel")]
     pub fn max_tpl_forced_parallel(&self, threads: usize) -> Result<f64> {
         self.max_tpl_sharded(threads)
     }
@@ -871,7 +868,6 @@ impl PopulationAccountant {
     }
 
     /// [`Self::most_exposed_user`] forced onto an explicit worker count.
-    #[cfg(feature = "parallel")]
     pub fn most_exposed_user_forced_parallel(&self, threads: usize) -> Result<usize> {
         self.most_exposed_user_sharded(threads)
     }
@@ -1151,7 +1147,6 @@ mod tests {
         assert_eq!(tied.most_exposed_user().unwrap(), 0);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn forced_parallel_matches_serial_bitwise() {
         let adversaries: Vec<AdversaryT> = (0..40)

@@ -36,7 +36,7 @@
 //! so a rejected release is never observed and never published.
 
 use crate::personalized::PopulationAccountant;
-use crate::{Result, TplAccountant};
+use crate::Result;
 use parking_lot::RwLock;
 use std::ops::Deref;
 use std::ops::Range;
@@ -239,24 +239,6 @@ impl AccountantWriter<PopulationAccountant> {
     /// publish.
     pub fn track_w_event(&mut self, w: usize) -> Result<()> {
         self.with_mut(|p| p.track_w_event(w))
-    }
-}
-
-/// Writer over a single-user accountant.
-pub type TplWriter = AccountantWriter<TplAccountant>;
-
-/// Reader over a single-user accountant.
-pub type TplReader = AccountantReader<TplAccountant>;
-
-impl AccountantWriter<TplAccountant> {
-    /// Observe one release and publish the next revision.
-    pub fn observe_release(&mut self, eps: f64) -> Result<crate::TplReport> {
-        self.with_mut(|a| a.observe_release(eps))
-    }
-
-    /// Arm (or disarm) the fold horizon and publish the folded state.
-    pub fn set_horizon(&mut self, horizon: Option<usize>) -> Result<()> {
-        self.with_mut(|a| a.set_horizon(horizon))
     }
 }
 

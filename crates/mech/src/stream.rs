@@ -6,14 +6,12 @@
 //! `r^1, …, r^t` — which is precisely why temporal correlations leak more
 //! than each `ε_t` alone, the phenomenon quantified by `tcdp-core`.
 
-use crate::budget::{BudgetSchedule, CompositionLedger, Epsilon};
+use crate::budget::BudgetSchedule;
 use crate::laplace::LaplaceMechanism;
 use crate::query::{Database, HistogramQuery};
 use crate::{MechError, Result};
-use parking_lot::Mutex;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// One released time step.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -113,55 +111,10 @@ impl ContinualReleaser {
     }
 }
 
-/// A thread-safe releaser sharing one composition ledger across publishers
-/// (e.g. several regional servers publishing partitions of one population
-/// under a common total budget). Spends from the ledger *before* releasing,
-/// so a failed spend never leaks data.
-#[derive(Debug, Clone)]
-pub struct SharedReleaser {
-    inner: Arc<Mutex<SharedInner>>,
-}
-
-#[derive(Debug)]
-struct SharedInner {
-    releaser: ContinualReleaser,
-    ledger: CompositionLedger,
-}
-
-impl SharedReleaser {
-    /// Create a shared releaser with a total sequential-composition budget.
-    pub fn new(domain: usize, schedule: BudgetSchedule, total: Epsilon) -> Result<Self> {
-        let releaser = ContinualReleaser::new(domain, schedule)?;
-        Ok(Self {
-            inner: Arc::new(Mutex::new(SharedInner {
-                releaser,
-                ledger: CompositionLedger::new(total),
-            })),
-        })
-    }
-
-    /// Release the next time step, debiting the shared ledger.
-    pub fn release_next<R: Rng + ?Sized>(&self, db: &Database, rng: &mut R) -> Result<Release> {
-        let mut inner = self.inner.lock();
-        let eps = inner.releaser.schedule.budget_at(inner.releaser.time());
-        inner.ledger.spend(eps)?;
-        inner.releaser.release_next(db, rng)
-    }
-
-    /// Remaining total budget.
-    pub fn remaining_budget(&self) -> f64 {
-        self.inner.lock().ledger.remaining()
-    }
-
-    /// Number of releases performed.
-    pub fn releases(&self) -> usize {
-        self.inner.lock().ledger.releases()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::Epsilon;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -230,43 +183,5 @@ mod tests {
             err[i] = total / 400.0;
         }
         assert!(err[1] > 5.0 * err[0], "errors: {err:?}");
-    }
-
-    #[test]
-    fn shared_releaser_enforces_total_budget() {
-        let schedule = BudgetSchedule::uniform(Epsilon::new(0.4).unwrap(), 10).unwrap();
-        let shared = SharedReleaser::new(3, schedule, Epsilon::new(1.0).unwrap()).unwrap();
-        let mut rng = StdRng::seed_from_u64(6);
-        let db = Database::new(3, vec![0, 1, 2]).unwrap();
-        assert!(shared.release_next(&db, &mut rng).is_ok());
-        assert!(shared.release_next(&db, &mut rng).is_ok());
-        let err = shared.release_next(&db, &mut rng).unwrap_err();
-        assert!(matches!(err, MechError::BudgetExhausted { .. }));
-        assert_eq!(shared.releases(), 2);
-        assert!((shared.remaining_budget() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shared_releaser_is_clone_and_concurrent() {
-        let schedule = BudgetSchedule::uniform(Epsilon::new(0.1).unwrap(), 100).unwrap();
-        let shared = SharedReleaser::new(2, schedule, Epsilon::new(10.0).unwrap()).unwrap();
-        let db = Database::new(2, vec![0, 1]).unwrap();
-        let handles: Vec<_> = (0..4)
-            .map(|seed| {
-                let s = shared.clone();
-                let db = db.clone();
-                std::thread::spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    for _ in 0..10 {
-                        s.release_next(&db, &mut rng).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(shared.releases(), 40);
-        assert!((shared.remaining_budget() - 6.0).abs() < 1e-9);
     }
 }

@@ -38,10 +38,18 @@ pub struct GroupSpec {
     pub adversary: AdversaryT,
 }
 
+/// The largest `count` a population spec accepts: 2^53, past which
+/// consecutive integers are no longer all representable as `f64`.
+const MAX_EXACT_COUNT: f64 = 9_007_199_254_740_992.0;
+
 /// Parse a population spec: a JSON array of
 /// `{"count": N, "pb": M?, "pf": M?}` objects. Users are numbered `0..`
 /// in group order. Errors are plain human-readable strings so callers
 /// (the daemon, the CLI flag parser) can prefix their own context.
+///
+/// A `count` above 2^53 is refused: beyond it not every integer is an
+/// `f64`, so the number read may not be the one written. So is a spec
+/// whose user numbering would overflow `usize`.
 pub fn parse_population_spec(text: &str) -> std::result::Result<Vec<GroupSpec>, String> {
     use serde::{Deserialize as _, Value};
     let v: Value = serde_json::from_str(text).map_err(|e| format!("bad JSON: {e}"))?;
@@ -55,9 +63,19 @@ pub fn parse_population_spec(text: &str) -> std::result::Result<Vec<GroupSpec>, 
     let mut start = 0usize;
     for (g, entry) in entries.iter().enumerate() {
         let count = match entry.get("count") {
-            Some(Value::Num(n)) if *n >= 1.0 && n.fract() == 0.0 => *n as usize,
-            _ => return Err(format!("groups[{g}]: `count` must be a positive integer")),
+            Some(Value::Num(n)) if *n >= 1.0 && n.fract() == 0.0 && *n <= MAX_EXACT_COUNT => {
+                *n as u64
+            }
+            _ => {
+                return Err(format!(
+                    "groups[{g}]: `count` must be a positive integer of at most 2^53"
+                ))
+            }
         };
+        let end = usize::try_from(count)
+            .ok()
+            .and_then(|count| start.checked_add(count))
+            .ok_or_else(|| format!("groups[{g}]: user numbering overflows at {start} + {count}"))?;
         let side = |k: &str| -> std::result::Result<Option<TransitionMatrix>, String> {
             match entry.get(k) {
                 None | Some(Value::Null) => Ok(None),
@@ -79,10 +97,10 @@ pub fn parse_population_spec(text: &str) -> std::result::Result<Vec<GroupSpec>, 
             (None, None) => AdversaryT::traditional(),
         };
         groups.push(GroupSpec {
-            users: start..start + count,
+            users: start..end,
             adversary,
         });
-        start += count;
+        start = end;
     }
     Ok(groups)
 }
@@ -399,5 +417,20 @@ mod tests {
         assert!(parse_population_spec("[]").is_err());
         assert!(parse_population_spec(r#"[{"count": 0}]"#).is_err());
         assert!(parse_population_spec("{}").is_err());
+        // Counts past 2^53 are refused, so neither a saturating cast
+        // (1e300) nor a pair of huge counts (1e19 + 1e19) reaches the
+        // numbering; a sum past usize::MAX is refused too. Every error
+        // names its group.
+        let huge = parse_population_spec(r#"[{"count": 1e300}]"#).unwrap_err();
+        assert!(huge.starts_with("groups[0]: "), "{huge}");
+        let exact = parse_population_spec(r#"[{"count": 9007199254740992}]"#).unwrap();
+        assert_eq!(exact[0].users, 0..1 << 53);
+        let wrap = parse_population_spec(r#"[{"count": 1e19}, {"count": 1e19}]"#).unwrap_err();
+        assert!(wrap.starts_with("groups[0]: "), "{wrap}");
+        // 2048 groups of 2^53 users number exactly 2^64: the last one
+        // overflows.
+        let many = format!("[{}]", [r#"{"count": 9007199254740992}"#; 2048].join(","));
+        let sum = parse_population_spec(&many).unwrap_err();
+        assert!(sum.starts_with("groups[2047]: "), "{sum}");
     }
 }

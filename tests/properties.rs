@@ -18,10 +18,6 @@ use tcdp::core::alg1::{
     temporal_loss, temporal_loss_brute_force, temporal_loss_lp, temporal_loss_witness_unpruned,
     temporal_loss_witness_with_kernel, Kernel, LpBaseline,
 };
-#[cfg(feature = "parallel")]
-use tcdp::core::alg1::{
-    temporal_loss_witness_forced_parallel, temporal_loss_witness_forced_parallel_with_kernel,
-};
 use tcdp::core::checkpoint::{resume_bytes, SavedState};
 use tcdp::core::personalized::PopulationAccountant;
 use tcdp::core::supremum::{leakage_series, supremum_of_matrix, Supremum};
@@ -202,27 +198,17 @@ proptest! {
     }
 
     #[test]
-    fn parallel_and_pruned_sweeps_are_bit_identical(
+    fn pruned_and_naive_sweeps_are_bit_identical(
         m in sparse_stochastic_matrix(24),
         alpha in 0.01f64..30.0,
-        threads in 2usize..5,
     ) {
-        // Independent engine paths — naive serial, pruned (possibly
-        // parallel via the default feature), and (feature-gated below)
-        // the fan-out forced onto an explicit worker count — must agree
+        // The pruned sweep and the naive unpruned one must agree
         // exactly: same value bits, same maximizing pair, same active
         // subset.
         let naive = temporal_loss_witness_unpruned(&m, alpha).unwrap();
         let pruned = tcdp::core::alg1::temporal_loss_witness(&m, alpha).unwrap();
         prop_assert_eq!(&pruned, &naive, "pruned vs naive at alpha={}", alpha);
         prop_assert_eq!(pruned.value.to_bits(), naive.value.to_bits());
-        #[cfg(feature = "parallel")]
-        {
-            let forced = temporal_loss_witness_forced_parallel(&m, alpha, threads).unwrap();
-            prop_assert_eq!(&forced, &naive, "{} threads vs naive at alpha={}", threads, alpha);
-            prop_assert_eq!(forced.value.to_bits(), naive.value.to_bits());
-        }
-        let _ = threads;
     }
 
     #[test]
@@ -279,11 +265,6 @@ proptest! {
                 prop_assert_eq!(&w, &naive, "{:?} vs naive at alpha={}", kernel, alpha);
                 prop_assert_eq!(w.value.to_bits(), naive.value.to_bits());
             }
-            #[cfg(feature = "parallel")]
-            {
-                let forced = temporal_loss_witness_forced_parallel(&m, alpha, 3).unwrap();
-                prop_assert_eq!(&forced, &naive);
-            }
         }
     }
 
@@ -307,7 +288,7 @@ proptest! {
 
 // Kernel differential corpus (PR 6): the lane-width chunked sweep and the
 // SoA PairIndex are pure layout/scheduling changes, so every engine
-// configuration — scalar reference, chunked kernel, forced worker counts —
+// configuration — scalar reference and chunked kernel —
 // must return the *same witness bits* as the naive unpruned sweep: value,
 // maximizing pair, active subset, and the α-independent sums.
 proptest! {
@@ -341,28 +322,6 @@ proptest! {
             let w = temporal_loss_witness_with_kernel(&m, alpha, kernel).unwrap();
             prop_assert_eq!(&w, &naive, "{:?} vs naive at alpha={}\n{}", kernel, alpha, m);
             prop_assert_eq!(w.value.to_bits(), naive.value.to_bits());
-        }
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn forced_threads_by_kernel_grid_is_bit_identical(
-        m in sparse_stochastic_matrix(24),
-        alpha in 0.01f64..30.0,
-    ) {
-        let naive = temporal_loss_witness_unpruned(&m, alpha).unwrap();
-        for threads in [2usize, 3, 5] {
-            for kernel in [Kernel::Scalar, Kernel::Chunked] {
-                let w = temporal_loss_witness_forced_parallel_with_kernel(
-                    &m, alpha, threads, kernel,
-                )
-                .unwrap();
-                prop_assert_eq!(
-                    &w, &naive,
-                    "{} threads / {:?} vs naive at alpha={}", threads, kernel, alpha
-                );
-                prop_assert_eq!(w.value.to_bits(), naive.value.to_bits());
-            }
         }
     }
 }
@@ -867,7 +826,6 @@ proptest! {
             }
             // Fan-out widths (including over-subscription) against the
             // serial path: all bit-identical.
-            #[cfg(feature = "parallel")]
             for threads in [1usize, 2, 5, 13] {
                 prop_assert_eq!(
                     to_bits(&pop.tpl_series_forced_parallel(threads).unwrap()),
@@ -929,11 +887,8 @@ proptest! {
                 .enumerate()
                 .map(|(k, r)| (r.clone(), eps_of_tier[k % eps_of_tier.len()]))
                 .collect();
-            #[cfg(feature = "parallel")]
             pop.observe_release_personalized_forced_parallel(&assignments, threads)
                 .unwrap();
-            #[cfg(not(feature = "parallel"))]
-            pop.observe_release_personalized(&assignments).unwrap();
             for (i, acc) in naive.iter_mut().enumerate() {
                 let eps = assignments
                     .iter()
@@ -991,7 +946,6 @@ proptest! {
                     t
                 );
             }
-            #[cfg(feature = "parallel")]
             for threads in [1usize, 2, 5, 13] {
                 prop_assert_eq!(
                     to_bits(&pop.tpl_series_forced_parallel(threads).unwrap()),
@@ -1007,7 +961,6 @@ proptest! {
                 );
             }
         }
-        let _ = threads;
     }
 
     #[test]
@@ -1028,16 +981,8 @@ proptest! {
         let mut fanned = PopulationAccountant::new(&adversaries).unwrap();
         let to_bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
         for &b in &budgets {
-            #[cfg(feature = "parallel")]
-            {
-                serial.observe_release_forced_parallel(b, 1).unwrap();
-                fanned.observe_release_forced_parallel(b, threads).unwrap();
-            }
-            #[cfg(not(feature = "parallel"))]
-            {
-                serial.observe_release(b).unwrap();
-                fanned.observe_release(b).unwrap();
-            }
+            serial.observe_release_forced_parallel(b, 1).unwrap();
+            fanned.observe_release_forced_parallel(b, threads).unwrap();
             prop_assert_eq!(
                 to_bits(serial.tpl_series().unwrap()),
                 to_bits(fanned.tpl_series().unwrap())
@@ -1047,7 +992,6 @@ proptest! {
                 fanned.most_exposed_user().unwrap()
             );
         }
-        let _ = threads;
     }
 }
 
@@ -1137,7 +1081,6 @@ fn ten_thousand_users_with_eight_timelines_match_naive_reference() {
             "user {i}"
         );
     }
-    #[cfg(feature = "parallel")]
     for threads in [1usize, 3, 7, 16] {
         assert_eq!(
             to_bits(&pop.tpl_series_forced_parallel(threads).unwrap()),

@@ -108,10 +108,9 @@ fn check_samples(samples: &[Sample], expected: &[Observed]) {
 }
 
 /// Library-level harness: one writer thread ingesting the schedule
-/// while reader threads hammer snapshots — with **forced** per-query
-/// worker counts on the parallel lane (the `--no-default-features` lane
-/// runs the same harness serially). Every sample must be bit-identical
-/// to serial replay at its revision.
+/// while reader threads hammer snapshots with **forced** per-query
+/// worker counts. Every sample must be bit-identical to serial replay
+/// at its revision.
 #[test]
 fn concurrent_queries_match_serial_replay_per_revision() {
     const RELEASES: usize = 120;
@@ -138,21 +137,11 @@ fn concurrent_queries_match_serial_replay_per_revision() {
                 if snap.num_releases() == 0 {
                     continue;
                 }
-                #[cfg(feature = "parallel")]
                 let (max_tpl, series, most_exposed) = (
                     snap.max_tpl_forced_parallel(threads).unwrap(),
                     snap.tpl_series_forced_parallel(threads).unwrap(),
                     snap.most_exposed_user_forced_parallel(threads).unwrap(),
                 );
-                #[cfg(not(feature = "parallel"))]
-                let (max_tpl, series, most_exposed) = {
-                    let _ = threads;
-                    (
-                        snap.max_tpl().unwrap(),
-                        snap.tpl_series().unwrap(),
-                        snap.most_exposed_user().unwrap(),
-                    )
-                };
                 samples.push(Sample {
                     revision: snap.revision(),
                     max_tpl: max_tpl.to_bits(),
