@@ -2,7 +2,7 @@
 //! # tcdp-analysis — workspace invariant analyzer
 //!
 //! Every guarantee this reproduction makes — sharded == serial == naive,
-//! chunked kernel == scalar reference, checkpoint resume == live
+//! pruned engine == unpruned reference, checkpoint resume == live
 //! accountant — is a *bit-identity* claim. The runtime differential
 //! suites probe those claims; this crate makes the invariants they rely
 //! on statically checkable, so the build refuses a violation instead of

@@ -9,38 +9,35 @@
 //!   `warm` drives one [`TemporalLossFunction`] (cached pruning index +
 //!   witness warm-start across steps) while `cold` makes T independent
 //!   `temporal_loss` calls — and prints the resulting speedup factor;
-//! * `alg1/kernel/{shape}-{kernel}/{n}` ablates the lane-width sweep
-//!   kernel (`scalar` vs `chunked`, see [`tcdp_core::Kernel`]) on cold
-//!   evaluations against one shared pruning index, across dense,
-//!   near-deterministic, and roadnet-shaped matrices at
-//!   n ∈ {50, 200, 1000, 4000} (dense capped at 1000 — its index build
-//!   is cubic);
-//! * `alg1/build/{shape}-{kernel}/{n}` ablates the [`PairIndex`] build
-//!   reductions the same way (support-seeded + lane-chunked vs the
-//!   dense scalar rescan; the scalar build is skipped above n = 1000
-//!   where its `O(n³)` cost stops being a benchmark and becomes a wait).
+//! * `alg1/eval/{shape}/{n}` times one cold `L(10)` evaluation against
+//!   a prebuilt pruning index, across dense, near-deterministic, and
+//!   roadnet-shaped matrices at n ∈ {16, 32, 50, 200, 1000, 4000} (dense
+//!   capped at 1000 — its index build is cubic). n = 16 and 32 bracket
+//!   the heavy shards the `tcdp-serve` daemon evaluates;
+//! * `alg1/build/{shape}/{n}` times the [`PairIndex`] build on the same
+//!   shapes and sizes.
 //!
 //! The expected profile: polynomial growth in `n`; mild growth in `α`
 //! that stabilizes past α ≈ 10 (more Inequality-(21) update sweeps fire
 //! at large α, but at most n−1 of them); a warm/cold seq ratio well
 //! above 5× — the `O(n⁴) + T·O(n)` versus `T·O(n⁴)` claim made in
-//! `tcdp_core::alg1`'s module docs; and build speedups that grow with
+//! `tcdp_core::alg1`'s module docs; and builds that get cheaper with
 //! sparsity (the support-seeded reduction is `O(nnz)` per pair, not
 //! `O(n)`).
 //!
 //! Pass `--json <path>` to dump every measurement under the stable
 //! schema described in `crates/bench/README.md` (the committed
-//! `BENCH_alg1.json` baseline and CI's regression gate both come from
-//! that flag).
+//! `BENCH_alg1.json` baseline comes from that flag).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Instant;
-use tcdp_bench::median_seconds;
-use tcdp_core::alg1::{temporal_loss, temporal_loss_witness_unpruned, EvalSession, PairIndex};
-use tcdp_core::{Kernel, TemporalLossFunction};
+use tcdp_core::alg1::{
+    temporal_loss, temporal_loss_witness_indexed, temporal_loss_witness_unpruned, PairIndex,
+};
+use tcdp_core::TemporalLossFunction;
 use tcdp_data::roadnet::roadnet_like;
 use tcdp_markov::TransitionMatrix;
 
@@ -149,15 +146,13 @@ fn bench_sequences(c: &mut Criterion) {
     );
 }
 
-const KERNELS: [(Kernel, &str); 2] = [(Kernel::Scalar, "scalar"), (Kernel::Chunked, "chunked")];
-
-/// The kernel-matrix shapes: `(name, sizes)`. Dense stops at 1000
+/// The shape × size matrix: `(name, sizes)`. Dense stops at 1000
 /// because its index build is `O(n³)`; the sparse shapes go to the
 /// ROADMAP's n = 4000 target.
 const SHAPES: [(&str, &[usize]); 3] = [
-    ("dense", &[50, 200, 1000]),
-    ("neardet", &[50, 200, 1000, 4000]),
-    ("roadnet", &[50, 200, 1000, 4000]),
+    ("dense", &[16, 32, 50, 200, 1000]),
+    ("neardet", &[16, 32, 50, 200, 1000, 4000]),
+    ("roadnet", &[16, 32, 50, 200, 1000, 4000]),
 ];
 
 /// A near-deterministic mobility model: each row is a dominant stay-put
@@ -190,101 +185,39 @@ fn shape_matrix(shape: &str, n: usize, rng: &mut StdRng) -> TransitionMatrix {
     }
 }
 
-/// One cold `L(10)` evaluation through a session pinned to `kernel`
-/// (the warm chain is cleared so every call pays the full pruned sweep).
-fn cold_eval(m: &TransitionMatrix, index: &PairIndex, kernel: Kernel) -> f64 {
-    let mut sess = EvalSession::new(m, index);
-    sess.set_kernel(kernel);
-    sess.eval(10.0).expect("loss")
-}
-
-fn bench_kernel_matrix(c: &mut Criterion) {
+fn bench_eval_matrix(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(6);
+    let mut group = c.benchmark_group("alg1/eval");
     for (shape, sizes) in SHAPES {
         for &n in sizes {
             let m = shape_matrix(shape, n, &mut rng);
             let index = PairIndex::new(&m);
-            // Both kernels must agree bit-for-bit before the numbers
-            // mean anything.
-            assert_eq!(
-                cold_eval(&m, &index, Kernel::Scalar).to_bits(),
-                cold_eval(&m, &index, Kernel::Chunked).to_bits(),
-                "kernel divergence at {shape}/{n}"
-            );
-            let mut group = c.benchmark_group("alg1/kernel");
-            for (kernel, kname) in KERNELS {
-                let mut sess = EvalSession::new(&m, &index);
-                sess.set_kernel(kernel);
-                group.bench_with_input(
-                    BenchmarkId::new(format!("{shape}-{kname}"), n),
-                    &n,
-                    |b, _| {
-                        b.iter(|| {
-                            sess.seed(None);
-                            black_box(sess.eval(black_box(10.0)).expect("loss"))
-                        });
-                    },
-                );
-            }
-            group.finish();
-            if n >= 1000 {
-                let scalar = median_seconds(3, || {
-                    black_box(cold_eval(&m, &index, Kernel::Scalar));
+            // No warm witness: every call pays the full pruned sweep.
+            group.bench_with_input(BenchmarkId::new(shape, n), &n, |b, _| {
+                b.iter(|| {
+                    black_box(
+                        temporal_loss_witness_indexed(&m, &index, black_box(10.0), None)
+                            .expect("loss"),
+                    )
                 });
-                let chunked = median_seconds(3, || {
-                    black_box(cold_eval(&m, &index, Kernel::Chunked));
-                });
-                println!(
-                    "alg1/kernel {shape} n={n}: chunked sweep {:.2}x vs scalar \
-                     (scalar {:.3} ms, chunked {:.3} ms per cold eval)",
-                    scalar / chunked.max(f64::MIN_POSITIVE),
-                    scalar * 1e3,
-                    chunked * 1e3,
-                );
-            }
+            });
         }
     }
+    group.finish();
 }
 
 fn bench_build_matrix(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(7);
+    let mut group = c.benchmark_group("alg1/build");
     for (shape, sizes) in SHAPES {
         for &n in sizes {
             let m = shape_matrix(shape, n, &mut rng);
-            let mut group = c.benchmark_group("alg1/build");
-            for (kernel, kname) in KERNELS {
-                if kernel == Kernel::Scalar && n > 1000 {
-                    // The scalar build rescans dense rows: O(n³). At
-                    // n = 4000 that is tens of seconds per build — the
-                    // headline below already pins the ratio at n = 1000.
-                    continue;
-                }
-                group.bench_with_input(
-                    BenchmarkId::new(format!("{shape}-{kname}"), n),
-                    &n,
-                    |b, _| {
-                        b.iter(|| black_box(PairIndex::with_kernel(&m, kernel)));
-                    },
-                );
-            }
-            group.finish();
-            if n == 1000 {
-                let scalar = median_seconds(3, || {
-                    black_box(PairIndex::with_kernel(&m, Kernel::Scalar));
-                });
-                let chunked = median_seconds(3, || {
-                    black_box(PairIndex::with_kernel(&m, Kernel::Chunked));
-                });
-                println!(
-                    "alg1/build {shape} n={n}: chunked build {:.2}x vs scalar \
-                     (scalar {:.3} ms, chunked {:.3} ms per build)",
-                    scalar / chunked.max(f64::MIN_POSITIVE),
-                    scalar * 1e3,
-                    chunked * 1e3,
-                );
-            }
+            group.bench_with_input(BenchmarkId::new(shape, n), &n, |b, _| {
+                b.iter(|| black_box(PairIndex::new(&m)));
+            });
         }
     }
+    group.finish();
 }
 
 criterion_group!(
@@ -293,7 +226,7 @@ criterion_group!(
     bench_vs_alpha,
     bench_pruning_ablation,
     bench_sequences,
-    bench_kernel_matrix,
+    bench_eval_matrix,
     bench_build_matrix
 );
 criterion_main!(benches);

@@ -3,11 +3,8 @@
 //! Usage: `check_bench <BENCH_*.json>`
 //!
 //! Reads the schema-version-1 document the criterion stand-in emits and
-//! gates four kinds of baseline pairs at parameters `≥ 1000`:
+//! gates three kinds of baseline pairs at parameters `≥ 1000`:
 //!
-//! * `alg1/kernel/{shape}-chunked/{n}` and `alg1/build/{shape}-chunked/{n}`
-//!   against the `{shape}-scalar` sibling at the same `n` — the
-//!   lane-width/SoA path must not regress below the branchy reference.
 //! * `acct/fold/folded/{T}` against `acct/fold/unfolded/{T}` — the O(w)
 //!   folded accountant's per-release audit must not cost more than the
 //!   O(T) unfolded history it summarizes away.
@@ -23,19 +20,19 @@
 //!   queries run on published snapshots, never on a writer lock.
 //!
 //! The job fails (non-zero exit) if a pair's mean-time ratio exceeds
-//! its family tolerance ([`TOLERANCE`] for the first two families,
+//! its family tolerance ([`TOLERANCE`] for the fold pair,
 //! [`MMAP_TOLERANCE`] for the resume pair, [`serve_tolerance`] for the
-//! daemon ingest pair). Entries with no sibling in
-//! the dump (the `O(n³)` scalar build is skipped at n = 4000) are
+//! daemon ingest pair). Entries with no sibling in the dump are
 //! ignored; a dump holding *no* comparable pair of any kind is itself
 //! an error, so renaming benches cannot silently disable the gate.
 
 use serde::Value;
 use std::process::ExitCode;
 
-/// Allowed chunked/scalar mean-time ratio. Above 1.0 to absorb shared-CI
-/// noise at smoke-sized measurement windows; low enough that a real
-/// regression (chunked slower than the scalar reference) still fails.
+/// Allowed folded/unfolded mean-time ratio. Above 1.0 to absorb
+/// shared-CI noise at smoke-sized measurement windows; low enough that a
+/// real regression (the fold slower than the history it replaces) still
+/// fails.
 const TOLERANCE: f64 = 1.25;
 
 /// Allowed mmap/copy resume mean-time ratio: the mapped view must be at
@@ -87,12 +84,7 @@ fn run(path: &str) -> Result<(), String> {
         };
         let param = *param as i64;
         // Candidate vs baseline naming and tolerance, per bench family.
-        let (prefix, sibling, tolerance) = if let Some(p) = group.strip_suffix("-chunked") {
-            if !p.starts_with("alg1/") {
-                continue;
-            }
-            (p.to_string(), format!("{p}-scalar"), TOLERANCE)
-        } else if let Some(p) = group.strip_suffix("/folded") {
+        let (prefix, sibling, tolerance) = if let Some(p) = group.strip_suffix("/folded") {
             if !p.starts_with("acct/") {
                 continue;
             }
@@ -119,7 +111,7 @@ fn run(path: &str) -> Result<(), String> {
                     .is_some_and(|p| matches!(p, Value::Num(v) if *v as i64 == param))
         });
         let Some(baseline) = baseline else {
-            continue; // no baseline at this size (e.g. skipped O(n³) build)
+            continue; // no baseline at this size
         };
         let (Some(c_ns), Some(s_ns)) = (mean_ns(entry), mean_ns(baseline)) else {
             continue;

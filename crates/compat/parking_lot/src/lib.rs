@@ -32,6 +32,16 @@ impl<T: ?Sized> Mutex<T> {
         self.0.lock().unwrap_or_else(sync::PoisonError::into_inner)
     }
 
+    /// Acquire the lock only if no other thread holds it; `None` means it
+    /// is held (a poisoned lock is recovered, as in [`Mutex::lock`]).
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        match self.0.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(sync::TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(sync::TryLockError::WouldBlock) => None,
+        }
+    }
+
     /// Mutable access without locking (requires exclusive ownership).
     pub fn get_mut(&mut self) -> &mut T {
         self.0
@@ -73,6 +83,16 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
+    }
+
+    #[test]
+    fn try_lock_fails_only_while_held() {
+        let m = Mutex::new(1);
+        let held = m.lock();
+        assert!(m.try_lock().is_none());
+        drop(held);
+        *m.try_lock().expect("free lock") += 1;
+        assert_eq!(*m.lock(), 2);
     }
 
     #[test]

@@ -940,7 +940,19 @@ impl TplAccountant {
     /// caller — the shard-split/clone primitive of
     /// [`crate::personalized::PopulationAccountant`]. Subject to
     /// [`Self::set_timeline`]'s prefix-consistency contract.
+    ///
+    /// Never waits on a reader: a query holds the series cache for a
+    /// whole FPL rebuild and the supremum memo for a whole Theorem 5
+    /// search, on the same published snapshot a writer clones. Each
+    /// cache is copied only when its lock is free; otherwise the clone
+    /// starts it cold. Both are behaviorally invisible, so the clone
+    /// answers every query identically either way.
     pub(crate) fn clone_with_timeline(&self, timeline: Arc<BudgetTimeline>) -> Self {
+        let cache = self
+            .cache
+            .try_lock()
+            .map_or_else(SeriesCache::empty, |c| c.clone());
+        let fold_sup = self.fold_sup.try_lock().and_then(|memo| *memo);
         Self {
             backward: self.backward.clone(),
             forward: self.forward.clone(),
@@ -949,8 +961,8 @@ impl TplAccountant {
             bpl_less_eps: self.bpl_less_eps.clone(),
             folded: self.folded,
             wevent: self.wevent.clone(),
-            cache: Mutex::new(self.cache.lock().clone()),
-            fold_sup: Mutex::new(*self.fold_sup.lock()),
+            cache: Mutex::new(cache),
+            fold_sup: Mutex::new(fold_sup),
         }
     }
 
@@ -1426,6 +1438,53 @@ mod tests {
         back.observe_release(0.1).unwrap();
         acc.observe_release(0.1).unwrap();
         assert!((back.bpl_series()[5] - acc.bpl_series()[5]).abs() < 1e-15);
+    }
+
+    /// Clone `acc` on a spawned thread while the calling thread holds
+    /// `guard`, failing unless the clone arrives within the timeout.
+    /// The guard is released before the verdict, so a clone that did
+    /// wait finishes and the scope can join it.
+    fn clone_while_holding<G>(acc: &TplAccountant, guard: G) -> TplAccountant {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        std::thread::scope(|s| {
+            let (tx, rx) = mpsc::channel();
+            s.spawn(move || {
+                let _ = tx.send(acc.clone());
+            });
+            let clone = rx.recv_timeout(Duration::from_secs(5));
+            drop(guard);
+            clone.expect("the clone waited for a lock a reader holds")
+        })
+    }
+
+    #[test]
+    fn clone_does_not_wait_for_a_reader_holding_a_cache() {
+        // A reader holds the series cache for a whole FPL rebuild and the
+        // supremum memo for a whole Theorem 5 search, on the snapshot a
+        // writer clones to admit its next release.
+        let mut acc = TplAccountant::with_both(fig3_matrix(), fig3_matrix()).unwrap();
+        acc.set_horizon(Some(3)).unwrap();
+        acc.observe_uniform(0.1, 10).unwrap();
+        let expected = acc.max_tpl().unwrap();
+        assert!(acc.series_snapshot().is_some() && acc.fold_sup.lock().is_some());
+
+        let warm = clone_while_holding(&acc, ());
+        assert!(warm.series_snapshot().is_some() && warm.fold_sup.lock().is_some());
+
+        let cold_series = clone_while_holding(&acc, acc.cache.lock());
+        assert!(cold_series.series_snapshot().is_none());
+        assert!(cold_series.fold_sup.lock().is_some());
+
+        let cold_memo = clone_while_holding(&acc, acc.fold_sup.lock());
+        assert!(cold_memo.series_snapshot().is_some());
+        assert!(cold_memo.fold_sup.lock().is_none());
+
+        // Either way the clone answers exactly as the original does.
+        for clone in [warm, cold_series, cold_memo] {
+            assert_eq!(clone.max_tpl().unwrap().to_bits(), expected.to_bits());
+            assert_eq!(clone.tpl_series().unwrap(), acc.tpl_series().unwrap());
+        }
     }
 
     #[test]

@@ -65,7 +65,7 @@
 //!   the gap test are skipped in `O(1)` when their ratio bound is
 //!   beaten. Pairs with `g₀ = 0` can never exceed `L = 0` and are
 //!   dropped from the index at build time.
-//! * **Witness warm-start** — the recursions that drive this kernel
+//! * **Witness warm-start** — the recursions that drive this engine
 //!   (`BPL(t) = L(BPL(t−1)) + ε_t` and friends) evaluate `L` at a slowly
 //!   moving sequence of α values under one fixed matrix, and the
 //!   maximizing pair and its active subset are usually stable from step
@@ -78,12 +78,11 @@
 //!   handful of bound comparisons — turning a T-step recursion from
 //!   `T·O(n⁴)` into roughly `O(n⁴) + T·O(n)`. When validation fails the
 //!   pair is re-solved from scratch and the full pruned sweep runs.
-//! * **Batched sessions** — [`EvalSession`] (and its checked-out form,
+//! * **Batched sessions** — an `EvalSession` (checked out through
 //!   [`crate::loss::LossEvaluator`]) pins one scratch set and the warm
 //!   witness across a whole α batch or search loop, so the recursions,
 //!   bisections, and multi-ε grids above allocate nothing and touch no
-//!   lock per probe. [`temporal_loss_many_indexed`] is the one-call
-//!   batched API on top of it.
+//!   lock per probe.
 //!
 //! Every evaluation runs one serial pruned sweep on the calling thread.
 //! Its incumbent order — maximum value, ties broken toward the lowest
@@ -92,60 +91,40 @@
 //! module: across tenants and requests, and across the population's
 //! shards ([`crate::personalized`]).
 //!
-//! # Hardware layout: lane-width kernels and struct-of-arrays
+//! # One sweep, and a struct-of-arrays index
 //!
-//! Two further layers make the same algorithm friendly to the memory
-//! hierarchy and the LLVM autovectorizer (this toolchain has no
-//! `std::simd`; everything below is plain safe Rust shaped so the
-//! compiler lifts it into SIMD lanes):
+//! The per-pair solve is the textbook loop: one fused dense seed scan
+//! (or the support gather above) and one discard loop that tests
+//! Inequality (21) and compacts survivors in the same pass. A
+//! lane-chunked mask-then-compact variant of both loops was tried and
+//! measured against it on the matrices the daemon evaluates — 2-state
+//! tenant shards and 16–32-state ones (cold evaluations plus 64-step
+//! BPL and FPL chains per matrix, alternating pairs): the masked sweep
+//! was 1.16–1.43× slower at n = 16, 26 and 32, 1.05× at n = 21 and
+//! within noise (0.91–1.12×) at n = 2, so the branchy loop is the only
+//! one kept. `bench_alg1`'s `alg1/eval/*` rows time it from n = 16 up.
 //!
-//! * **Chunked mask-then-compact sweeps** ([`Kernel::Chunked`], the
-//!   default) — the discard sweep's hot loop used to interleave the keep
-//!   predicate `em1·(q_j·d − d_j·q) > d_j − q_j` with a data-dependent
-//!   branchy compaction, which blocks vectorization. The chunked kernel
-//!   splits it into (1) a branch-light *predicate pass* writing a `0/1`
-//!   byte mask in fixed-width lanes ([`LANES`] at a time over the
-//!   contiguous `q`/`d` scratch arrays — pure independent f64 arithmetic
-//!   the autovectorizer lifts wholesale), and (2) a *compact pass* that
-//!   walks the mask and moves survivors to the front. When the mask is
-//!   all-ones (the common final sweep: the loop exits exactly when
-//!   nothing is discarded) the compact pass is skipped outright. The
-//!   candidate seed scan over dense rows gets the same treatment
-//!   (predicate `q_j > d_j` into the mask, then compact-push).
+//! Two properties of the loop carry the bit-identity guarantees. The
+//! running sums `q`, `d` are sequential left-to-right reductions over
+//! the candidates in ascending index order — float addition is not
+//! associative, and the warm-start path re-derives the same sums by
+//! summing the active subset in ascending order, which must agree to
+//! the last ulp. And the keep predicate `em1·(q_j·d − d_j·q) > d_j − q_j`
+//! is one IEEE expression (Rust does not contract `a·b − c·d` into an
+//! FMA), evaluated identically by the sweep and by the warm-witness
+//! validator.
 //!
-//!   **Why bit-identity holds:** the per-element predicate is the exact
-//!   IEEE expression of the scalar kernel (Rust does not contract
-//!   `a·b − c·d` into FMA), evaluated on the same values in the same
-//!   element order, so the mask equals the scalar kernel's branch
-//!   decisions bit for bit; the compaction visits survivors in the same
-//!   ascending order; and the running sums `q`, `d` are *deliberately
-//!   kept as sequential left-to-right reductions* (never lane-split —
-//!   float addition is not associative, and the warm-start path
-//!   re-derives the same sums by summing the active subset in ascending
-//!   order, which must agree to the last ulp). Lanes accelerate only
-//!   order-insensitive work: the predicate (elementwise), the candidate
-//!   compare, and the α-independent `g₀`/`r_max` build reductions, whose
-//!   low-order bits only steer conservative pruning and therefore never
-//!   reach a result (see `BOUND_SLACK`).
-//!
-//! * **Struct-of-arrays [`PairIndex`]** — the pruning index stores its
-//!   per-pair data as three parallel arrays (`g0: Vec<f64>`,
-//!   `rmax: Vec<f64>`, and packed `(q_row << 32 | d_row)` ids) instead
-//!   of an array of structs. The pruned sweep's hot loop touches only
-//!   `g0[i]` until the early-break fires and only `rmax[i]` for skips,
-//!   so those passes are linear prefetch-friendly scans of dense f64
-//!   memory with 3× less traffic than the old 24-byte stride. Build
-//!   cost also drops: the per-pair `g₀`/`r_max` reduction seeds from
-//!   the numerator row's support list (`O(nnz)` on sparse rows — a
-//!   candidate needs `q_j > d_j ≥ 0`) and runs lane-chunked on dense
-//!   rows.
-//!
-//! The scalar reference kernel ([`Kernel::Scalar`]) is retained —
-//! selectable through every entry point via [`PairIndex::with_kernel`] /
-//! [`temporal_loss_witness_with_kernel`] — both as the ablation baseline
-//! for `bench_alg1`'s scalar-vs-chunked matrix and as the second
-//! implementation the differential property tests hold the chunked
-//! engine bit-identical to.
+//! [`PairIndex`] stores its per-pair data as three parallel arrays
+//! (`g0: Vec<f64>`, `rmax: Vec<f64>`, and packed `(q_row << 32 | d_row)`
+//! ids) instead of an array of structs. The pruned sweep's hot loop
+//! touches only `g0[i]` until the early-break fires and only `rmax[i]`
+//! for skips, so those passes are linear prefetch-friendly scans of
+//! dense f64 memory. The build is where lanes pay: its `O(n² · nnz)`
+//! per-pair `g₀`/`r_max` reduction seeds from the numerator row's
+//! support list on sparse rows (a candidate needs `q_j > d_j ≥ 0`) and
+//! runs in fixed 8-wide lanes on fully dense rows. The lane split
+//! reassociates `g₀`, which is allowed there only: the bounds steer
+//! conservative pruning and never reach a result (see `BOUND_SLACK`).
 //!
 //! The module also contains a brute-force reference solver built on
 //! Lemma 3 (the optimum places each `x_j` at either `m` or `e^α m`, so it
@@ -242,72 +221,15 @@ fn objective_em1(q: f64, d: f64, em1: f64) -> f64 {
     (q * em1 + 1.0) / (d * em1 + 1.0)
 }
 
-/// Which per-pair kernel implementation drives a sweep.
-///
-/// Both produce bit-identical results (witness, active set, and
-/// objective — see the module docs for why); [`Kernel::Chunked`] is the
-/// default everywhere, [`Kernel::Scalar`] is the reference the
-/// differential tests and the `bench_alg1` ablation matrix compare
-/// against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Kernel {
-    /// The original branchy scalar loops — the reference implementation.
-    Scalar,
-    /// Lane-chunked mask-then-compact passes the autovectorizer lifts.
-    #[default]
-    Chunked,
-}
-
-/// Fixed lane width of the chunked kernel's predicate and reduction
-/// passes. A compile-time constant (never derived from the host CPU) so
-/// chunking is deterministic; 8 f64 elements span two AVX2 or one
-/// AVX-512 register and give the autovectorizer room to unroll on
-/// narrower targets.
-pub const LANES: usize = 8;
-
-/// The chunked discard predicate pass: writes the Inequality-(21) keep
-/// decision for every candidate into `mask` (`1` = keep) and returns the
-/// number kept. The predicate is the exact IEEE expression of the scalar
-/// kernel evaluated in the same element order — only the loop structure
-/// (fixed-width lanes over contiguous `q`/`d`, no data-dependent
-/// branches) differs, so the mask equals the scalar branch decisions bit
-/// for bit while compiling to SIMD compares.
-#[inline]
-fn keep_mask(q: &[f64], d: &[f64], q_sum: f64, d_sum: f64, em1: f64, mask: &mut [u8]) -> usize {
-    debug_assert_eq!(q.len(), d.len());
-    debug_assert_eq!(q.len(), mask.len());
-    let split = q.len() - q.len() % LANES;
-    let lanes = q[..split]
-        .chunks_exact(LANES)
-        .zip(d[..split].chunks_exact(LANES))
-        .zip(mask[..split].chunks_exact_mut(LANES));
-    for ((qc, dc), mc) in lanes {
-        for (m, (&qj, &dj)) in mc.iter_mut().zip(qc.iter().zip(dc)) {
-            *m = (em1 * (qj * d_sum - dj * q_sum) > dj - qj) as u8;
-        }
-    }
-    for (m, (&qj, &dj)) in mask[split..]
-        .iter_mut()
-        .zip(q[split..].iter().zip(&d[split..]))
-    {
-        *m = (em1 * (qj * d_sum - dj * q_sum) > dj - qj) as u8;
-    }
-    // Separate count pass: an integer reduction is associative, so this
-    // one *is* safe for the vectorizer to reorder.
-    mask.iter().map(|&m| m as usize).sum()
-}
-
 /// Reusable buffers for the per-pair active-set iteration: candidate
 /// indices and their `q`/`d` coefficients, compacted in place on each
-/// discard sweep, plus the chunked kernel's keep-mask bytes. One
-/// instance serves an entire row-pair sweep, so the inner loop allocates
-/// nothing after the first pair.
+/// discard sweep. One instance serves an entire row-pair sweep, so the
+/// inner loop allocates nothing after the first pair.
 #[derive(Debug, Default)]
 struct SweepScratch {
     idx: Vec<usize>,
     q: Vec<f64>,
     d: Vec<f64>,
-    mask: Vec<u8>,
 }
 
 impl SweepScratch {
@@ -316,17 +238,7 @@ impl SweepScratch {
             idx: Vec::with_capacity(n),
             q: Vec::with_capacity(n),
             d: Vec::with_capacity(n),
-            mask: vec![0; n],
         }
-    }
-
-    /// The mask buffer, grown (never shrunk) to at least `len` bytes.
-    #[inline]
-    fn mask_for(&mut self, len: usize) -> &mut [u8] {
-        if self.mask.len() < len {
-            self.mask.resize(len, 0);
-        }
-        &mut self.mask[..len]
     }
 }
 
@@ -349,7 +261,6 @@ fn solve_pair_into(
     em1: f64,
     s: &mut SweepScratch,
     support: Option<&[u32]>,
-    kernel: Kernel,
 ) -> (f64, f64) {
     debug_assert_eq!(q_row.len(), d_row.len());
     s.idx.clear();
@@ -375,35 +286,6 @@ fn solve_pair_into(
                 }
             }
         }
-        _ if kernel == Kernel::Chunked => {
-            // Dense seed, mask-then-compact: the candidate compare runs
-            // branch-free over the raw rows (vectorizable), then the
-            // compact-push walks the mask in the same ascending order
-            // the fused scalar loop visits.
-            let n = q_row.len();
-            let mask = s.mask_for(n);
-            let split = n - n % LANES;
-            let lanes = q_row[..split]
-                .chunks_exact(LANES)
-                .zip(d_row[..split].chunks_exact(LANES))
-                .zip(mask[..split].chunks_exact_mut(LANES));
-            for ((qc, dc), mc) in lanes {
-                for (m, (&qj, &dj)) in mc.iter_mut().zip(qc.iter().zip(dc)) {
-                    *m = (qj > dj) as u8;
-                }
-            }
-            for (m, (&qj, &dj)) in mask[split..]
-                .iter_mut()
-                .zip(q_row[split..].iter().zip(&d_row[split..]))
-            {
-                *m = (qj > dj) as u8;
-            }
-            for (j, _) in s.mask[..n].iter().enumerate().filter(|(_, &m)| m != 0) {
-                s.idx.push(j);
-                s.q.push(q_row[j]);
-                s.d.push(d_row[j]);
-            }
-        }
         _ => {
             for (j, (&qj, &dj)) in q_row.iter().zip(d_row).enumerate() {
                 if qj > dj {
@@ -418,63 +300,30 @@ fn solve_pair_into(
     // and rearranged for numerical stability at large α (avoids adding
     // 1 to q·e^α, which swamps f64 precision past α ≈ 55):
     // q_j/d_j > (q·em1+1)/(d·em1+1) ⇔ em1·(q_j·d − d_j·q) > d_j − q_j.
-    // The running sums q, d stay sequential left-to-right reductions in
-    // BOTH kernels (bit-identity: float addition is order-sensitive and
-    // the warm-start path re-derives them in the same ascending order).
-    match kernel {
-        Kernel::Scalar => loop {
-            let q: f64 = s.q.iter().sum();
-            let d: f64 = s.d.iter().sum();
-            let before = s.idx.len();
-            // Survivors are compacted to the front of the scratch buffers.
-            let mut keep = 0;
-            for r in 0..before {
-                let (qj, dj) = (s.q[r], s.d[r]);
-                if em1 * (qj * d - dj * q) > dj - qj {
-                    s.idx[keep] = s.idx[r];
-                    s.q[keep] = qj;
-                    s.d[keep] = dj;
-                    keep += 1;
-                }
+    // The running sums q, d stay sequential left-to-right reductions
+    // (bit-identity: float addition is order-sensitive and the
+    // warm-start path re-derives them in the same ascending order).
+    loop {
+        let q: f64 = s.q.iter().sum();
+        let d: f64 = s.d.iter().sum();
+        let before = s.idx.len();
+        // Survivors are compacted to the front of the scratch buffers.
+        let mut keep = 0;
+        for r in 0..before {
+            let (qj, dj) = (s.q[r], s.d[r]);
+            if em1 * (qj * d - dj * q) > dj - qj {
+                s.idx[keep] = s.idx[r];
+                s.q[keep] = qj;
+                s.d[keep] = dj;
+                keep += 1;
             }
-            s.idx.truncate(keep);
-            s.q.truncate(keep);
-            s.d.truncate(keep);
-            if keep == before {
-                return (q, d);
-            }
-        },
-        Kernel::Chunked => loop {
-            let q: f64 = s.q.iter().sum();
-            let d: f64 = s.d.iter().sum();
-            let before = s.idx.len();
-            // Predicate pass into the mask (lane-chunked, branch-free),
-            // then compact only when something was actually discarded —
-            // the final sweep of every pair keeps everything and exits
-            // without touching the buffers again.
-            let kept = keep_mask(&s.q, &s.d, q, d, em1, {
-                // Split borrows: mask vs the coefficient arrays.
-                if s.mask.len() < before {
-                    s.mask.resize(before, 0);
-                }
-                &mut s.mask[..before]
-            });
-            if kept == before {
-                return (q, d);
-            }
-            let mut keep = 0;
-            for r in 0..before {
-                if s.mask[r] != 0 {
-                    s.idx[keep] = s.idx[r];
-                    s.q[keep] = s.q[r];
-                    s.d[keep] = s.d[r];
-                    keep += 1;
-                }
-            }
-            s.idx.truncate(keep);
-            s.q.truncate(keep);
-            s.d.truncate(keep);
-        },
+        }
+        s.idx.truncate(keep);
+        s.q.truncate(keep);
+        s.d.truncate(keep);
+        if keep == before {
+            return (q, d);
+        }
     }
 }
 
@@ -483,7 +332,7 @@ fn solve_pair_into(
 #[cfg(test)]
 pub(crate) fn solve_pair(q_row: &[f64], d_row: &[f64], alpha: f64) -> (f64, f64) {
     let mut s = SweepScratch::with_capacity(q_row.len());
-    solve_pair_into(q_row, d_row, alpha.exp_m1(), &mut s, None, Kernel::Chunked)
+    solve_pair_into(q_row, d_row, alpha.exp_m1(), &mut s, None)
 }
 
 /// As [`solve_pair`], additionally returning the active index set — used
@@ -495,7 +344,7 @@ pub(crate) fn solve_pair_active(
     alpha: f64,
 ) -> (f64, f64, Vec<usize>) {
     let mut s = SweepScratch::with_capacity(q_row.len());
-    let (q, d) = solve_pair_into(q_row, d_row, alpha.exp_m1(), &mut s, None, Kernel::Chunked);
+    let (q, d) = solve_pair_into(q_row, d_row, alpha.exp_m1(), &mut s, None);
     (q, d, std::mem::take(&mut s.idx))
 }
 
@@ -517,21 +366,6 @@ const fn unpack_pair(id: u64) -> (usize, usize) {
 /// packed pair never has `q_row == d_row == u32::MAX`.
 const NO_SKIP: u64 = u64::MAX;
 
-/// The scalar reference reduction for one pair's `g₀`/`r_max` bounds:
-/// the original fused branchy loop over the dense rows.
-#[inline]
-fn pair_bounds_scalar(q_row: &[f64], d_row: &[f64]) -> (f64, f64) {
-    let mut g0 = 0.0;
-    let mut rmax = 1.0_f64;
-    for (&qj, &dj) in q_row.iter().zip(d_row) {
-        if qj > dj {
-            g0 += qj - dj;
-            rmax = rmax.max(if dj == 0.0 { f64::INFINITY } else { qj / dj });
-        }
-    }
-    (g0, rmax)
-}
-
 /// `g₀`/`r_max` seeded from the numerator row's support list: a
 /// Corollary-2 candidate needs `q_j > d_j ≥ 0`, hence `q_j > 0`, so the
 /// gather visits exactly the dense scan's candidates in the same
@@ -550,13 +384,19 @@ fn pair_bounds_support(q_row: &[f64], d_row: &[f64], support: &[u32]) -> (f64, f
     (g0, rmax)
 }
 
+/// Lane width of the dense index-build reduction. A compile-time
+/// constant (never derived from the host CPU) so the build is
+/// deterministic; 8 f64 elements span two AVX2 or one AVX-512 register
+/// and give the autovectorizer room to unroll on narrower targets.
+const LANES: usize = 8;
+
 /// Lane-chunked `g₀`/`r_max` reduction for fully dense rows: `LANES`
 /// independent accumulators folded in a fixed order at the end. The
-/// lane-split reassociates the `g₀` sum relative to the scalar kernel —
-/// deliberately allowed *here only*, because `g₀`/`r_max` steer
+/// lane split reassociates the `g₀` sum relative to a left-to-right
+/// scan — deliberately allowed *here only*, because `g₀`/`r_max` steer
 /// conservative pruning and the pair visit order; they never reach a
 /// returned value (candidates with `q_j > d_j` contribute strictly
-/// positive terms, so `g₀ > 0` iff a candidate exists in either kernel,
+/// positive terms, so `g₀ > 0` iff a candidate exists in either order,
 /// and `BOUND_SLACK` absorbs the low-bit drift in bound comparisons).
 #[inline]
 fn pair_bounds_dense_chunked(q_row: &[f64], d_row: &[f64]) -> (f64, f64) {
@@ -570,7 +410,7 @@ fn pair_bounds_dense_chunked(q_row: &[f64], d_row: &[f64]) -> (f64, f64) {
         for (l, (&qj, &dj)) in qc.iter().zip(dc).enumerate() {
             let cand = qj > dj;
             // Branch-free selects; q_j/d_j is +∞ for a candidate with
-            // d_j = 0 (q_j > 0), exactly the scalar kernel's sentinel.
+            // d_j = 0 (q_j > 0), exactly the remainder loop's sentinel.
             g[l] += if cand { qj - dj } else { 0.0 };
             r[l] = r[l].max(if cand { qj / dj } else { 1.0 });
         }
@@ -631,32 +471,6 @@ impl PairIndex {
     /// [`PairIndex::try_new`], which validates up front and surfaces a
     /// typed error instead of silently mis-pruning.
     pub fn new(matrix: &TransitionMatrix) -> Self {
-        Self::with_kernel(matrix, Kernel::Chunked)
-    }
-
-    /// As [`PairIndex::new`], after validating every matrix entry is
-    /// finite and non-negative. NaN-poisoned or otherwise invalid input
-    /// (possible only through paths that bypass [`TransitionMatrix`]'s
-    /// validating constructors, e.g. hand-built serde values) yields
-    /// [`crate::TplError::InvalidMatrix`] instead of a panic or a
-    /// silently corrupt index.
-    pub fn try_new(matrix: &TransitionMatrix) -> crate::Result<Self> {
-        for row in 0..matrix.n() {
-            for &v in matrix.row(row) {
-                if !v.is_finite() || v < 0.0 {
-                    return Err(crate::TplError::InvalidMatrix { row, value: v });
-                }
-            }
-        }
-        Ok(Self::new(matrix))
-    }
-
-    /// [`PairIndex::new`] with an explicit kernel for the per-pair
-    /// `g₀`/`r_max` build reductions — the `bench_alg1` ablation hook.
-    /// Either kernel yields an index over the same pair set producing
-    /// bit-identical sweep results (the bounds only steer conservative
-    /// pruning; see the module docs).
-    pub fn with_kernel(matrix: &TransitionMatrix, kernel: Kernel) -> Self {
         let n = matrix.n();
         let support: Vec<Vec<u32>> = (0..n)
             .map(|a| {
@@ -680,13 +494,13 @@ impl PairIndex {
                     continue;
                 }
                 let d_row = matrix.row(b);
-                let (g0, rmax) = match kernel {
-                    Kernel::Scalar => pair_bounds_scalar(q_row, d_row),
-                    // Fully dense rows (support == all of 0..n) take the
-                    // lane-chunked contiguous reduction; sparse rows
-                    // gather only their nonzeros.
-                    Kernel::Chunked if sup.len() == n => pair_bounds_dense_chunked(q_row, d_row),
-                    Kernel::Chunked => pair_bounds_support(q_row, d_row, sup),
+                // Fully dense rows (support == all of 0..n) take the
+                // lane-chunked contiguous reduction; sparse rows gather
+                // only their nonzeros.
+                let (g0, rmax) = if sup.len() == n {
+                    pair_bounds_dense_chunked(q_row, d_row)
+                } else {
+                    pair_bounds_support(q_row, d_row, sup)
                 };
                 if g0 > 0.0 {
                     pair_ids.push(pack_pair(a, b));
@@ -712,6 +526,23 @@ impl PairIndex {
             rmax: order.iter().map(|&i| rmaxs[i as usize]).collect(),
             support,
         }
+    }
+
+    /// As [`PairIndex::new`], after validating every matrix entry is
+    /// finite and non-negative. NaN-poisoned or otherwise invalid input
+    /// (possible only through paths that bypass [`TransitionMatrix`]'s
+    /// validating constructors, e.g. hand-built serde values) yields
+    /// [`crate::TplError::InvalidMatrix`] instead of a panic or a
+    /// silently corrupt index.
+    pub fn try_new(matrix: &TransitionMatrix) -> crate::Result<Self> {
+        for row in 0..matrix.n() {
+            for &v in matrix.row(row) {
+                if !v.is_finite() || v < 0.0 {
+                    return Err(crate::TplError::InvalidMatrix { row, value: v });
+                }
+            }
+        }
+        Ok(Self::new(matrix))
     }
 
     /// The ascending positive-entry indices of row `row` — the sparse
@@ -795,7 +626,6 @@ fn sweep_index(
     init: Incumbent,
     skip: u64,
     scratch: &mut SweepScratch,
-    kernel: Kernel,
 ) -> Incumbent {
     let mut best = init;
     for i in 0..index.len() {
@@ -817,7 +647,6 @@ fn sweep_index(
             em1,
             scratch,
             Some(index.support_of(a)),
-            kernel,
         );
         let cand = Incumbent {
             obj: objective_em1(q, d, em1),
@@ -884,7 +713,7 @@ pub fn temporal_loss_witness_indexed(
     warm: Option<&LossWitness>,
 ) -> Result<LossWitness> {
     let mut scratch = SweepScratch::with_capacity(matrix.n());
-    eval_indexed(matrix, index, alpha, warm, &mut scratch, Kernel::Chunked)
+    eval_indexed(matrix, index, alpha, warm, &mut scratch)
 }
 
 /// The single-evaluation core behind every public entry point: the warm
@@ -897,7 +726,6 @@ fn eval_indexed(
     alpha: f64,
     warm: Option<&LossWitness>,
     scratch: &mut SweepScratch,
-    kernel: Kernel,
 ) -> Result<LossWitness> {
     check_alpha(alpha)?;
     let n = matrix.n();
@@ -929,14 +757,7 @@ fn eval_indexed(
                 (q_sum, d_sum)
             } else {
                 // The active set shifted: re-solve just this pair.
-                solve_pair_into(
-                    q_row,
-                    d_row,
-                    em1,
-                    scratch,
-                    Some(index.support_of(w.q_row)),
-                    kernel,
-                )
+                solve_pair_into(q_row, d_row, em1, scratch, Some(index.support_of(w.q_row)))
             };
             let cand = Incumbent {
                 obj: objective_em1(q, d, em1),
@@ -951,8 +772,8 @@ fn eval_indexed(
             skip = pack_pair(w.q_row, w.d_row);
         }
     }
-    let best = sweep_index(matrix, index, em1, init, skip, scratch, kernel);
-    Ok(finalize_witness(matrix, index, em1, best, scratch, kernel))
+    let best = sweep_index(matrix, index, em1, init, skip, scratch);
+    Ok(finalize_witness(matrix, index, em1, best, scratch))
 }
 
 /// Turn a sweep incumbent into a full [`LossWitness`], recovering the
@@ -964,7 +785,6 @@ fn finalize_witness(
     em1: f64,
     best: Incumbent,
     scratch: &mut SweepScratch,
-    kernel: Kernel,
 ) -> LossWitness {
     if best.obj <= 1.0 {
         return LossWitness::zero();
@@ -975,7 +795,6 @@ fn finalize_witness(
         em1,
         scratch,
         Some(index.support_of(best.q_row)),
-        kernel,
     );
     debug_assert_eq!((q, d), (best.q_sum, best.d_sum));
     LossWitness {
@@ -1000,103 +819,68 @@ fn finalize_witness(
 /// [`temporal_loss_witness_indexed`] calls: the warm chain is the same
 /// behaviorally-invisible Theorem-4 revalidation.
 ///
-/// This is the substrate of [`crate::TemporalLossFunction::eval_many`]
-/// and of the supremum/bisection loops in [`crate::supremum`],
-/// [`crate::release`], and [`crate::wevent`].
+/// This is the substrate of [`crate::loss::LossEvaluator`], which the
+/// supremum/bisection loops in [`crate::supremum`], [`crate::release`],
+/// and [`crate::wevent`] hold for a whole search.
 #[derive(Debug)]
-pub struct EvalSession<'a> {
+pub(crate) struct EvalSession<'a> {
     matrix: &'a TransitionMatrix,
     index: &'a PairIndex,
     scratch: SweepScratch,
     warm: Option<LossWitness>,
     evals: u64,
-    kernel: Kernel,
 }
 
 impl<'a> EvalSession<'a> {
     /// Open a session. `index` must come from [`PairIndex::new`] on this
     /// same `matrix` (checked by size on every evaluation, as in
     /// [`temporal_loss_witness_indexed`]).
-    pub fn new(matrix: &'a TransitionMatrix, index: &'a PairIndex) -> Self {
+    pub(crate) fn new(matrix: &'a TransitionMatrix, index: &'a PairIndex) -> Self {
         EvalSession {
             matrix,
             index,
             scratch: SweepScratch::with_capacity(matrix.n()),
             warm: None,
             evals: 0,
-            kernel: Kernel::default(),
         }
-    }
-
-    /// Select the inner-loop kernel for subsequent evaluations (the
-    /// bench ablation hook; results are bit-identical either way).
-    pub fn set_kernel(&mut self, kernel: Kernel) {
-        self.kernel = kernel;
     }
 
     /// Seed the warm chain (e.g. from a cache persisted outside the
     /// session). A stale or foreign witness is safe — it is revalidated
     /// against the matrix rows before use.
-    pub fn seed(&mut self, warm: Option<LossWitness>) {
+    pub(crate) fn seed(&mut self, warm: Option<LossWitness>) {
         self.warm = warm;
     }
 
     /// Evaluate `L(α)` and expose the maximizing witness by reference
     /// (it doubles as the warm seed of the next evaluation).
-    pub fn witness(&mut self, alpha: f64) -> Result<&LossWitness> {
+    pub(crate) fn witness(&mut self, alpha: f64) -> Result<&LossWitness> {
         let w = eval_indexed(
             self.matrix,
             self.index,
             alpha,
             self.warm.as_ref(),
             &mut self.scratch,
-            self.kernel,
         )?;
         self.evals += 1;
         Ok(self.warm.insert(w))
     }
 
     /// Evaluate `L(α)`.
-    pub fn eval(&mut self, alpha: f64) -> Result<f64> {
+    pub(crate) fn eval(&mut self, alpha: f64) -> Result<f64> {
         self.witness(alpha).map(|w| w.value)
     }
 
     /// Number of loss evaluations performed through this session.
-    pub fn evals(&self) -> u64 {
+    pub(crate) fn evals(&self) -> u64 {
         self.evals
-    }
-
-    /// Close the session, handing back the final warm witness so it can
-    /// be stored for a future session.
-    pub fn into_warm(self) -> Option<LossWitness> {
-        self.warm
     }
 
     /// Take the warm witness out of a session that cannot be moved from
     /// (e.g. inside a `Drop` impl); the session stays usable but cold.
-    pub fn take_warm(&mut self) -> Option<LossWitness> {
+    pub(crate) fn take_warm(&mut self) -> Option<LossWitness> {
         self.warm.take()
     }
-}
-
-/// Evaluate `L` at every α of a batch against a prebuilt index, sharing
-/// one scratch set and chaining the witness warm-start from probe to
-/// probe — the batched multi-α API. Sorted (or otherwise slowly-moving)
-/// grids warm-start best, but any order is correct: each result is
-/// bit-identical to an independent [`temporal_loss_witness_indexed`]
-/// call at the same α.
-pub fn temporal_loss_many_indexed(
-    matrix: &TransitionMatrix,
-    index: &PairIndex,
-    alphas: &[f64],
-    warm: Option<&LossWitness>,
-) -> Result<Vec<LossWitness>> {
-    let mut session = EvalSession::new(matrix, index);
-    session.seed(warm.cloned());
-    alphas
-        .iter()
-        .map(|&a| session.witness(a).cloned())
-        .collect()
 }
 
 /// Evaluate `L(α)` over all ordered row pairs of `matrix` (Algorithm 1
@@ -1111,23 +895,6 @@ pub fn temporal_loss_many_indexed(
 pub fn temporal_loss_witness(matrix: &TransitionMatrix, alpha: f64) -> Result<LossWitness> {
     let index = PairIndex::try_new(matrix)?;
     temporal_loss_witness_indexed(matrix, &index, alpha, None)
-}
-
-/// [`temporal_loss_witness`] with an explicit inner-loop [`Kernel`] —
-/// the ablation/differential entry point. [`Kernel::Scalar`] runs the
-/// original branchy reference everywhere (pair bounds, seed scan,
-/// discard sweep); [`Kernel::Chunked`] runs the lane-width kernels. The
-/// two are bit-identical by construction (see the module docs), which
-/// the property harness enforces.
-pub fn temporal_loss_witness_with_kernel(
-    matrix: &TransitionMatrix,
-    alpha: f64,
-    kernel: Kernel,
-) -> Result<LossWitness> {
-    check_alpha(alpha)?;
-    let index = PairIndex::with_kernel(matrix, kernel);
-    let mut scratch = SweepScratch::with_capacity(matrix.n());
-    eval_indexed(matrix, &index, alpha, None, &mut scratch, kernel)
 }
 
 /// Evaluate the temporal loss function `L(α)` (Equations 23/24).
@@ -1158,14 +925,7 @@ pub fn temporal_loss_witness_unpruned(
             if a == b {
                 continue;
             }
-            let (q, d) = solve_pair_into(
-                matrix.row(a),
-                matrix.row(b),
-                em1,
-                &mut scratch,
-                None,
-                Kernel::Scalar,
-            );
+            let (q, d) = solve_pair_into(matrix.row(a), matrix.row(b), em1, &mut scratch, None);
             let cand = Incumbent {
                 obj: objective_em1(q, d, em1),
                 q_row: a,
@@ -1571,21 +1331,13 @@ mod tests {
                         let em1 = alpha.exp_m1();
                         let mut dense = SweepScratch::with_capacity(p.n());
                         let mut sparse = SweepScratch::with_capacity(p.n());
-                        let (qd, dd) = solve_pair_into(
-                            p.row(a),
-                            p.row(b),
-                            em1,
-                            &mut dense,
-                            None,
-                            Kernel::Chunked,
-                        );
+                        let (qd, dd) = solve_pair_into(p.row(a), p.row(b), em1, &mut dense, None);
                         let (qs, ds) = solve_pair_into(
                             p.row(a),
                             p.row(b),
                             em1,
                             &mut sparse,
                             Some(index.support_of(a)),
-                            Kernel::Chunked,
                         );
                         assert_eq!(qd.to_bits(), qs.to_bits(), "a={a} b={b} alpha={alpha}");
                         assert_eq!(dd.to_bits(), ds.to_bits(), "a={a} b={b} alpha={alpha}");
@@ -1714,46 +1466,68 @@ mod tests {
         }
     }
 
+    /// The reference reduction for one pair's `g₀`/`r_max` bounds: a
+    /// fused branchy left-to-right scan over the dense rows.
+    fn pair_bounds_scalar(q_row: &[f64], d_row: &[f64]) -> (f64, f64) {
+        let mut g0 = 0.0;
+        let mut rmax = 1.0_f64;
+        for (&qj, &dj) in q_row.iter().zip(d_row) {
+            if qj > dj {
+                g0 += qj - dj;
+                rmax = rmax.max(if dj == 0.0 { f64::INFINITY } else { qj / dj });
+            }
+        }
+        (g0, rmax)
+    }
+
     #[test]
-    fn index_build_kernels_agree_on_pair_sets() {
-        // Scalar and chunked builds must retain exactly the same pair
-        // set. On dense rows the lane-summed g₀ may differ in low bits
-        // (and thus permute near-tied pairs in the sort) — harmless,
-        // since the bounds only steer conservative pruning and the sweep
-        // max is visit-order-independent — but on sparse rows the
-        // support gather replays the scalar visits, so there the bounds
-        // and the order agree to the bit.
+    fn index_build_matches_scalar_reference() {
+        // The support-seeded, lane-chunked build must retain exactly the
+        // pair set the dense scalar scan finds. On dense rows the
+        // lane-summed g₀ may differ in low bits (and thus permute
+        // near-tied pairs in the sort) — harmless, since the bounds only
+        // steer conservative pruning and the sweep max is
+        // visit-order-independent — but on sparse rows the support
+        // gather replays the scalar visits, so there the bounds and the
+        // order agree to the bit.
         let mut rng = StdRng::seed_from_u64(11);
         for n in [2usize, 3, 7, 19, 33] {
             let dense = TransitionMatrix::random_uniform(n, &mut rng).unwrap();
             let sparse = near_deterministic(n, 2, n as u64);
             for p in [&dense, &sparse] {
-                let a = PairIndex::with_kernel(p, Kernel::Scalar);
-                let b = PairIndex::with_kernel(p, Kernel::Chunked);
-                assert_eq!(a.support, b.support, "n={n}");
-                let mut ids_a = a.pair_ids.clone();
-                let mut ids_b = b.pair_ids.clone();
-                ids_a.sort_unstable();
-                ids_b.sort_unstable();
-                assert_eq!(ids_a, ids_b, "n={n}");
-                // Sparse rows gather through the same candidate visits,
-                // so their bounds agree to the bit outright.
-                if a.support.iter().all(|s| s.len() < n) {
-                    assert_eq!(a.pair_ids, b.pair_ids, "n={n}");
-                    for i in 0..a.len() {
-                        assert_eq!(a.g0[i].to_bits(), b.g0[i].to_bits(), "n={n} i={i}");
-                        assert_eq!(a.rmax[i].to_bits(), b.rmax[i].to_bits(), "n={n} i={i}");
+                let index = PairIndex::new(p);
+                let mut reference = Vec::new();
+                for a in 0..n {
+                    for b in (0..n).filter(|&b| b != a) {
+                        let (g0, rmax) = pair_bounds_scalar(p.row(a), p.row(b));
+                        if g0 > 0.0 {
+                            reference.push((pack_pair(a, b), g0, rmax));
+                        }
                     }
                 }
-                // The guarantee that matters: both kernels' end-to-end
-                // witnesses are the same bits.
+                let mut ids: Vec<u64> = index.pair_ids.clone();
+                ids.sort_unstable();
+                let ref_ids: Vec<u64> = reference.iter().map(|r| r.0).collect();
+                assert_eq!(ids, ref_ids, "n={n}");
+                for i in 0..index.len() {
+                    let r = reference[ref_ids.binary_search(&index.pair_ids[i]).unwrap()];
+                    assert!((index.g0[i] - r.1).abs() <= 1e-12 * r.1, "n={n} i={i}");
+                    assert_eq!(index.rmax[i].to_bits(), r.2.to_bits(), "n={n} i={i}");
+                    // Sparse rows gather through the same candidate
+                    // visits, so their g₀ agrees to the bit outright.
+                    if index.support_of(unpack_pair(index.pair_ids[i]).0).len() < n {
+                        assert_eq!(index.g0[i].to_bits(), r.1.to_bits(), "n={n} i={i}");
+                    }
+                }
+                // The guarantee that matters: the engine's end-to-end
+                // witnesses are the naive sweep's bits.
                 for alpha in [0.05, 1.0, 12.0] {
-                    let ws = temporal_loss_witness_with_kernel(p, alpha, Kernel::Scalar).unwrap();
-                    let wc = temporal_loss_witness_with_kernel(p, alpha, Kernel::Chunked).unwrap();
-                    assert_eq!(ws, wc, "n={n} alpha={alpha}");
+                    let fast = temporal_loss_witness(p, alpha).unwrap();
+                    let naive = temporal_loss_witness_unpruned(p, alpha).unwrap();
+                    assert_eq!(fast, naive, "n={n} alpha={alpha}");
                     assert_eq!(
-                        ws.value.to_bits(),
-                        wc.value.to_bits(),
+                        fast.value.to_bits(),
+                        naive.value.to_bits(),
                         "n={n} alpha={alpha}"
                     );
                 }

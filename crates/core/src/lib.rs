@@ -10,9 +10,10 @@
 //! * [`alg1`] — **Algorithm 1**: the polynomial-time solution of the
 //!   linear-fractional program (18)–(20) that evaluates the backward and
 //!   forward temporal loss functions `L^B`/`L^F` (Equations 23/24) using
-//!   Theorem 4 and Corollary 2, plus a brute-force vertex-enumeration
-//!   reference (via Lemma 3) and adapters to the generic LP baselines in
-//!   `tcdp-lp`.
+//!   Theorem 4 and Corollary 2 — one serial pruned, warm-started sweep
+//!   over a precomputed pair index — plus a brute-force
+//!   vertex-enumeration reference (via Lemma 3) and adapters to the
+//!   generic LP baselines in `tcdp-lp`.
 //! * [`loss`] — [`TemporalLossFunction`], the reusable `α ↦ L(α)` object
 //!   built from one transition matrix.
 //! * [`accountant`] — [`TplAccountant`]: the BPL recursion (Equation 13),
@@ -89,7 +90,7 @@ pub mod wevent;
 pub use accountant::{TplAccountant, TplReport};
 pub use adaptive::AdaptiveReleaser;
 pub use adversary::AdversaryT;
-pub use alg1::{temporal_loss, EvalSession, Kernel, LossWitness};
+pub use alg1::{temporal_loss, LossWitness};
 pub use checkpoint::{
     CheckpointDelta, CheckpointKind, DeltaCursor, SavedState, CHECKPOINT_VERSION,
 };

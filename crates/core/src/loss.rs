@@ -137,12 +137,6 @@ impl TemporalLossFunction {
         alphas.iter().map(|&a| ev.eval(a)).collect()
     }
 
-    /// As [`TemporalLossFunction::eval_many`], returning full witnesses.
-    pub fn witness_many(&self, alphas: &[f64]) -> Result<Vec<LossWitness>> {
-        let mut ev = self.evaluator();
-        alphas.iter().map(|&a| ev.witness(a).cloned()).collect()
-    }
-
     /// Total number of Algorithm 1 evaluations performed through this
     /// loss function (direct calls and closed [`LossEvaluator`]
     /// sessions. A live evaluator's count is folded in when it drops).

@@ -6,9 +6,10 @@
 //! release — the object that the paper's Algorithms 2 and 3 compute. A
 //! [`BudgetTimeline`] is the *observed* counterpart: the ε trail a
 //! mechanism has actually spent, growing release by release, shareable
-//! between accountants. The [`CompositionLedger`] implements the classic
-//! sequential composition theorem on independent data (the paper's
-//! Theorem 3): a combined mechanism spends the *sum* of its parts.
+//! between accountants. On independent data a combined mechanism spends
+//! the *sum* of its parts (sequential composition, the paper's
+//! Theorem 3): [`Epsilon::compose`] for two budgets,
+//! [`BudgetSchedule::sequential_total`] for a schedule.
 
 use crate::{MechError, Result};
 use parking_lot::RwLock;
@@ -579,57 +580,6 @@ impl Clone for BudgetTimeline {
     }
 }
 
-/// A spend-tracking ledger over a total budget, enforcing that sequential
-/// composition never exceeds the granted total.
-#[derive(Debug, Clone)]
-pub struct CompositionLedger {
-    total: f64,
-    spent: f64,
-    releases: usize,
-}
-
-impl CompositionLedger {
-    /// Create a ledger holding `total` budget.
-    pub fn new(total: Epsilon) -> Self {
-        Self {
-            total: total.value(),
-            spent: 0.0,
-            releases: 0,
-        }
-    }
-
-    /// Spend `eps` from the ledger; errors if it would overdraw.
-    pub fn spend(&mut self, eps: Epsilon) -> Result<()> {
-        let req = eps.value();
-        let remaining = self.remaining();
-        if req > remaining + 1e-12 {
-            return Err(MechError::BudgetExhausted {
-                requested: req,
-                remaining,
-            });
-        }
-        self.spent += req;
-        self.releases += 1;
-        Ok(())
-    }
-
-    /// Remaining budget.
-    pub fn remaining(&self) -> f64 {
-        (self.total - self.spent).max(0.0)
-    }
-
-    /// Budget spent so far (the sequential-composition guarantee of all
-    /// releases to date).
-    pub fn spent(&self) -> f64 {
-        self.spent
-    }
-
-    /// Number of releases recorded.
-    pub fn releases(&self) -> usize {
-        self.releases
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -919,20 +869,5 @@ mod tests {
         assert!(restored.series_eq(&live));
         // A different nonzero fold point is rejected.
         assert!(restored.restore_fold(1, 0.5, 0.5, None).is_err());
-    }
-
-    #[test]
-    fn ledger_enforces_total() {
-        let mut l = CompositionLedger::new(Epsilon::new(1.0).unwrap());
-        let e = Epsilon::new(0.4).unwrap();
-        l.spend(e).unwrap();
-        l.spend(e).unwrap();
-        assert_eq!(l.releases(), 2);
-        assert!((l.spent() - 0.8).abs() < 1e-12);
-        let err = l.spend(e).unwrap_err();
-        assert!(matches!(err, MechError::BudgetExhausted { .. }));
-        // Exact-fit spend succeeds.
-        l.spend(Epsilon::new(l.remaining()).unwrap()).unwrap();
-        assert!(l.remaining() < 1e-12);
     }
 }

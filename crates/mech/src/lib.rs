@@ -6,13 +6,11 @@
 //! implemented from scratch:
 //!
 //! * [`budget`] — the privacy budget `ε` as a validated type, per-time
-//!   budget schedules, shareable observed-budget timelines
-//!   ([`BudgetTimeline`]), and a composition ledger implementing
-//!   McSherry's sequential composition (the paper's Theorem 3) and
-//!   parallel composition;
+//!   budget schedules ([`BudgetSchedule`], with the paper's Theorem 3
+//!   sequential composition as their total), and shareable
+//!   observed-budget timelines ([`BudgetTimeline`]);
 //! * [`laplace`] — the Laplace distribution and the Laplace mechanism of
-//!   Dwork et al. (the paper's Theorem 1), plus the geometric mechanism as
-//!   an integer-valued alternative;
+//!   Dwork et al. (the paper's Theorem 1);
 //! * [`query`] — snapshot databases `D^t = {l^t_1, …, l^t_|U|}`, count and
 //!   histogram queries, and their L1 sensitivities;
 //! * [`stream`] — the continual-observation release pipeline: at each time
@@ -26,9 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod accuracy;
 pub mod budget;
-pub mod geometric;
 pub mod group;
 pub mod laplace;
 pub mod query;
@@ -64,13 +60,6 @@ pub enum MechError {
         /// Found length.
         found: usize,
     },
-    /// The budget ledger was asked to spend more than it holds.
-    BudgetExhausted {
-        /// Amount requested.
-        requested: f64,
-        /// Amount remaining.
-        remaining: f64,
-    },
     /// The stream has ended or the operation is out of order.
     StreamState(&'static str),
 }
@@ -87,15 +76,6 @@ impl std::fmt::Display for MechError {
             }
             MechError::DimensionMismatch { expected, found } => {
                 write!(f, "dimension mismatch: expected {expected}, found {found}")
-            }
-            MechError::BudgetExhausted {
-                requested,
-                remaining,
-            } => {
-                write!(
-                    f,
-                    "budget exhausted: requested {requested}, remaining {remaining}"
-                )
             }
             MechError::StreamState(msg) => write!(f, "stream state error: {msg}"),
         }

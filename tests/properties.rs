@@ -15,8 +15,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tcdp::core::alg1::{
-    temporal_loss, temporal_loss_brute_force, temporal_loss_lp, temporal_loss_witness_unpruned,
-    temporal_loss_witness_with_kernel, Kernel, LpBaseline,
+    temporal_loss, temporal_loss_brute_force, temporal_loss_lp, temporal_loss_witness,
+    temporal_loss_witness_unpruned, LpBaseline,
 };
 use tcdp::core::checkpoint::{resume_bytes, SavedState};
 use tcdp::core::personalized::PopulationAccountant;
@@ -66,7 +66,7 @@ fn sparse_stochastic_matrix(n: usize) -> impl Strategy<Value = TransitionMatrix>
 /// stochastic ones. One-hot q-rows against rows that are zero wherever q
 /// is positive are the degenerate cases of Algorithm 1 (`d = 0` active
 /// sets, `q/d` ratios with empty overlap) that the saturation guard and
-/// the chunked keep-mask both have to handle.
+/// the support-seeded candidate scan both have to handle.
 fn degenerate_mix_matrix(n: usize) -> impl Strategy<Value = TransitionMatrix> {
     proptest::collection::vec(
         (0usize..2, 0..n, proptest::collection::vec(0.0f64..1.0, n)),
@@ -206,7 +206,7 @@ proptest! {
         // exactly: same value bits, same maximizing pair, same active
         // subset.
         let naive = temporal_loss_witness_unpruned(&m, alpha).unwrap();
-        let pruned = tcdp::core::alg1::temporal_loss_witness(&m, alpha).unwrap();
+        let pruned = temporal_loss_witness(&m, alpha).unwrap();
         prop_assert_eq!(&pruned, &naive, "pruned vs naive at alpha={}", alpha);
         prop_assert_eq!(pruned.value.to_bits(), naive.value.to_bits());
     }
@@ -257,14 +257,11 @@ proptest! {
                 (fast - brute).abs() < 1e-9,
                 "alpha={alpha}: fast={fast} brute={brute}\n{m}"
             );
-            // The engine variants agree with each other exactly.
+            // The engine agrees with the naive sweep exactly.
             let naive = temporal_loss_witness_unpruned(&m, alpha).unwrap();
             prop_assert_eq!(fast.to_bits(), naive.value.to_bits());
-            for kernel in [Kernel::Scalar, Kernel::Chunked] {
-                let w = temporal_loss_witness_with_kernel(&m, alpha, kernel).unwrap();
-                prop_assert_eq!(&w, &naive, "{:?} vs naive at alpha={}", kernel, alpha);
-                prop_assert_eq!(w.value.to_bits(), naive.value.to_bits());
-            }
+            let w = temporal_loss_witness(&m, alpha).unwrap();
+            prop_assert_eq!(&w, &naive, "engine vs naive at alpha={}", alpha);
         }
     }
 
@@ -286,49 +283,44 @@ proptest! {
     }
 }
 
-// Kernel differential corpus (PR 6): the lane-width chunked sweep and the
-// SoA PairIndex are pure layout/scheduling changes, so every engine
-// configuration — scalar reference and chunked kernel —
-// must return the *same witness bits* as the naive unpruned sweep: value,
-// maximizing pair, active subset, and the α-independent sums.
+// Engine differential corpus: pruning, support seeding, the SoA
+// PairIndex and its lane-chunked build are pure layout/scheduling
+// choices, so the engine must return the *same witness bits* as the
+// naive unpruned sweep: value, maximizing pair, active subset, and the
+// α-independent sums.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn chunked_kernel_is_bit_identical_to_scalar_and_naive(
+    fn engine_is_bit_identical_to_naive_up_to_n27(
         m in (2usize..28).prop_flat_map(sparse_stochastic_matrix),
         alpha in 0.01f64..30.0,
     ) {
         let naive = temporal_loss_witness_unpruned(&m, alpha).unwrap();
-        let scalar = temporal_loss_witness_with_kernel(&m, alpha, Kernel::Scalar).unwrap();
-        let chunked = temporal_loss_witness_with_kernel(&m, alpha, Kernel::Chunked).unwrap();
-        prop_assert_eq!(&scalar, &naive, "scalar vs naive at alpha={}", alpha);
-        prop_assert_eq!(&chunked, &naive, "chunked vs naive at alpha={}", alpha);
-        prop_assert_eq!(scalar.value.to_bits(), naive.value.to_bits());
-        prop_assert_eq!(chunked.value.to_bits(), naive.value.to_bits());
+        let w = temporal_loss_witness(&m, alpha).unwrap();
+        prop_assert_eq!(&w, &naive, "engine vs naive at alpha={}", alpha);
+        prop_assert_eq!(w.value.to_bits(), naive.value.to_bits());
     }
 
     #[test]
-    fn kernels_agree_on_degenerate_rows(
+    fn engine_matches_naive_on_degenerate_rows(
         m in (2usize..20).prop_flat_map(degenerate_mix_matrix),
         alpha in 0.01f64..30.0,
     ) {
         // Deterministic q-rows against (partially) disjoint d-rows reach
         // the saturated L(α) = α branch and empty active sets — the
-        // paths where a masked lane diverging from the branchy reference
-        // would be most visible.
+        // paths where the support-seeded sweep diverging from the dense
+        // scan would be most visible.
         let naive = temporal_loss_witness_unpruned(&m, alpha).unwrap();
-        for kernel in [Kernel::Scalar, Kernel::Chunked] {
-            let w = temporal_loss_witness_with_kernel(&m, alpha, kernel).unwrap();
-            prop_assert_eq!(&w, &naive, "{:?} vs naive at alpha={}\n{}", kernel, alpha, m);
-            prop_assert_eq!(w.value.to_bits(), naive.value.to_bits());
-        }
+        let w = temporal_loss_witness(&m, alpha).unwrap();
+        prop_assert_eq!(&w, &naive, "engine vs naive at alpha={}\n{}", alpha, m);
+        prop_assert_eq!(w.value.to_bits(), naive.value.to_bits());
     }
 }
 
-// Large-n randomized differential: sizes where the chunked kernel runs
-// many full lanes (remainder handling, dense rows spanning dozens of
-// chunks, roadnet sparsity with deterministic one-way rows). The naive
+// Large-n randomized differential: sizes where the index build runs many
+// full lanes (remainder handling, dense rows spanning dozens of chunks)
+// and roadnet sparsity with deterministic one-way rows. The naive
 // O(n³)-ish unpruned reference is the ground truth, so the case budget is
 // small and matrices come from a seeded generator instead of proptest
 // trees (shrinking a 256×256 matrix cell-by-cell is useless anyway).
@@ -336,7 +328,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn kernels_agree_at_large_n(
+    fn engine_matches_naive_at_large_n(
         seed in 0u64..u64::MAX,
         n in 64usize..=256,
         alpha in 0.05f64..20.0,
@@ -344,11 +336,9 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let m = roadnet_like(n, &mut rng).unwrap();
         let naive = temporal_loss_witness_unpruned(&m, alpha).unwrap();
-        for kernel in [Kernel::Scalar, Kernel::Chunked] {
-            let w = temporal_loss_witness_with_kernel(&m, alpha, kernel).unwrap();
-            prop_assert_eq!(&w, &naive, "{:?} vs naive at n={} alpha={}", kernel, n, alpha);
-            prop_assert_eq!(w.value.to_bits(), naive.value.to_bits());
-        }
+        let w = temporal_loss_witness(&m, alpha).unwrap();
+        prop_assert_eq!(&w, &naive, "engine vs naive at n={} alpha={}", n, alpha);
+        prop_assert_eq!(w.value.to_bits(), naive.value.to_bits());
     }
 }
 
