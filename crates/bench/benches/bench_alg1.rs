@@ -12,10 +12,21 @@
 //! * `alg1/eval/{shape}/{n}` times one cold `L(10)` evaluation against
 //!   a prebuilt pruning index, across dense, near-deterministic, and
 //!   roadnet-shaped matrices at n ∈ {16, 32, 50, 200, 1000, 4000} (dense
-//!   capped at 1000 — its index build is cubic). n = 16 and 32 bracket
-//!   the heavy shards the `tcdp-serve` daemon evaluates;
+//!   capped at 200 — its index build is cubic, and one cold dense
+//!   n = 1000 evaluation took 22 s). n = 16 and 32 bracket the heavy
+//!   shards the `tcdp-serve` daemon evaluates;
 //! * `alg1/build/{shape}/{n}` times the [`PairIndex`] build on the same
-//!   shapes and sizes.
+//!   shapes and sizes;
+//! * `alg1/table/{shape}/{n}` and `alg1/sweep/{shape}/{n}` time one
+//!   64-step FPL-style chain (`α ← L(α) + ε_t`, ε cycling through the
+//!   `ceiling` mix's 0.02/0.05/0.1) at n = 16 and 32 on click-stream,
+//!   road-with-restart and dense matrices: `table` through a
+//!   [`TemporalLossFunction`] whose piece table is built, `sweep` through
+//!   [`temporal_loss_witness_indexed`] with the previous witness as warm
+//!   seed. `check_bench` gates table/sweep;
+//! * `alg1/table-build/{shape}/{n}` times a fresh loss function's first
+//!   evaluation on the same matrices: the index build, the table build
+//!   and one table-served evaluation.
 //!
 //! The expected profile: polynomial growth in `n`; mild growth in `α`
 //! that stabilizes past α ≈ 10 (more Inequality-(21) update sweeps fire
@@ -35,9 +46,11 @@ use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Instant;
 use tcdp_core::alg1::{
-    temporal_loss, temporal_loss_witness_indexed, temporal_loss_witness_unpruned, PairIndex,
+    temporal_loss, temporal_loss_witness_indexed, temporal_loss_witness_unpruned, LossWitness,
+    PairIndex,
 };
 use tcdp_core::TemporalLossFunction;
+use tcdp_data::clickstream::ClickstreamModel;
 use tcdp_data::roadnet::roadnet_like;
 use tcdp_markov::TransitionMatrix;
 
@@ -146,11 +159,11 @@ fn bench_sequences(c: &mut Criterion) {
     );
 }
 
-/// The shape × size matrix: `(name, sizes)`. Dense stops at 1000
-/// because its index build is `O(n³)`; the sparse shapes go to the
-/// ROADMAP's n = 4000 target.
+/// The shape × size matrix: `(name, sizes)`. Dense stops at 200
+/// because its index build is `O(n³)` and its cold evaluation grows as
+/// fast; the sparse shapes go to the ROADMAP's n = 4000 target.
 const SHAPES: [(&str, &[usize]); 3] = [
-    ("dense", &[16, 32, 50, 200, 1000]),
+    ("dense", &[16, 32, 50, 200]),
     ("neardet", &[16, 32, 50, 200, 1000, 4000]),
     ("roadnet", &[16, 32, 50, 200, 1000, 4000]),
 ];
@@ -220,6 +233,101 @@ fn bench_build_matrix(c: &mut Criterion) {
     group.finish();
 }
 
+/// The daemon-sized shapes of the table rows, drawn like the `ceiling`
+/// mix's shards: sticky click-streams with random popularity and road
+/// networks with a 5% uniform restart; plus [`shape_matrix`]'s dense
+/// random rows.
+fn table_matrix(shape: &str, n: usize, rng: &mut StdRng) -> TransitionMatrix {
+    match shape {
+        "clickstream" => {
+            let popularity: Vec<f64> = (0..n).map(|_| rng.gen_range(0.05f64..1.0)).collect();
+            let total: f64 = popularity.iter().sum();
+            let popularity = popularity.iter().map(|p| p / total).collect();
+            ClickstreamModel::new(rng.gen_range(0.6f64..0.9), popularity)
+                .and_then(|c| c.forward())
+                .expect("matrix")
+        }
+        "roadrestart" => {
+            let road = roadnet_like(n, rng).expect("matrix");
+            let rows = road
+                .rows()
+                .map(|row| row.iter().map(|p| 0.95 * p + 0.05 / n as f64).collect())
+                .collect();
+            TransitionMatrix::from_rows(rows).expect("rows are stochastic")
+        }
+        other => shape_matrix(other, n, rng),
+    }
+}
+
+/// Per-step budgets of the FPL-style chain (the `ceiling` mix's).
+const CHAIN_EPS: [f64; 3] = [0.02, 0.05, 0.1];
+const CHAIN_STEPS: usize = 64;
+
+/// The chain through a loss function's evaluator (table-served).
+fn chain_table(loss: &TemporalLossFunction) -> f64 {
+    let mut ev = loss.evaluator();
+    let mut alpha = CHAIN_EPS[0];
+    for t in 1..CHAIN_STEPS {
+        alpha = ev.eval(alpha).expect("loss") + CHAIN_EPS[t % 3];
+    }
+    alpha
+}
+
+/// The same chain through the warm-started pruned sweep.
+fn chain_sweep(m: &TransitionMatrix, index: &PairIndex) -> f64 {
+    let mut warm: Option<LossWitness> = None;
+    let mut alpha = CHAIN_EPS[0];
+    for t in 1..CHAIN_STEPS {
+        let w = temporal_loss_witness_indexed(m, index, alpha, warm.as_ref()).expect("loss");
+        alpha = w.value + CHAIN_EPS[t % 3];
+        warm = Some(w);
+    }
+    alpha
+}
+
+fn bench_table(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(8);
+    let cases: Vec<(&str, usize, TransitionMatrix)> = ["clickstream", "roadrestart", "dense"]
+        .into_iter()
+        .flat_map(|shape| [16usize, 32].map(|n| (shape, n)))
+        .map(|(shape, n)| (shape, n, table_matrix(shape, n, &mut rng)))
+        .collect();
+    let mut group = c.benchmark_group("alg1/table");
+    for (shape, n, m) in &cases {
+        let loss = TemporalLossFunction::new(m.clone());
+        let index = PairIndex::new(m);
+        // Builds the table; both paths must agree bit for bit before the
+        // numbers mean anything.
+        assert_eq!(
+            chain_table(&loss).to_bits(),
+            chain_sweep(m, &index).to_bits(),
+            "table/sweep divergence on {shape}/{n}"
+        );
+        group.bench_with_input(BenchmarkId::new(*shape, n), n, |b, _| {
+            b.iter(|| black_box(chain_table(&loss)));
+        });
+    }
+    group.finish();
+    let mut group = c.benchmark_group("alg1/sweep");
+    for (shape, n, m) in &cases {
+        let index = PairIndex::new(m);
+        group.bench_with_input(BenchmarkId::new(*shape, n), n, |b, _| {
+            b.iter(|| black_box(chain_sweep(m, &index)));
+        });
+    }
+    group.finish();
+    let mut group = c.benchmark_group("alg1/table-build");
+    for (shape, n, m) in &cases {
+        group.bench_with_input(BenchmarkId::new(*shape, n), n, |b, _| {
+            b.iter(|| {
+                let loss = TemporalLossFunction::new(m.clone());
+                black_box(loss.eval(black_box(CHAIN_EPS[0])).expect("loss"))
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_vs_n,
@@ -227,6 +335,7 @@ criterion_group!(
     bench_pruning_ablation,
     bench_sequences,
     bench_eval_matrix,
-    bench_build_matrix
+    bench_build_matrix,
+    bench_table
 );
 criterion_main!(benches);

@@ -3,7 +3,8 @@
 //! Usage: `check_bench <BENCH_*.json>`
 //!
 //! Reads the schema-version-1 document the criterion stand-in emits and
-//! gates three kinds of baseline pairs at parameters `≥ 1000`:
+//! gates four kinds of baseline pairs, the first three at parameters
+//! `≥ 1000`:
 //!
 //! * `acct/fold/folded/{T}` against `acct/fold/unfolded/{T}` — the O(w)
 //!   folded accountant's per-release audit must not cost more than the
@@ -18,13 +19,19 @@
 //!   within [`serve_tolerance`] (the CPU time-sharing bound for this
 //!   box's core count, plus margin) of the reader-free baseline:
 //!   queries run on published snapshots, never on a writer lock.
+//! * `alg1/table/{shape}/{n}` against `alg1/sweep/{shape}/{n}` at the
+//!   daemon's n = 16 and 32, for the shapes in [`TABLE_GATED_SHAPES`] —
+//!   a 64-step FPL-style chain served from the Algorithm 1 piece table
+//!   must cost at most [`TABLE_TOLERANCE`] (a quarter) of the same chain
+//!   through the warm-started sweep.
 //!
 //! The job fails (non-zero exit) if a pair's mean-time ratio exceeds
 //! its family tolerance ([`TOLERANCE`] for the fold pair,
 //! [`MMAP_TOLERANCE`] for the resume pair, [`serve_tolerance`] for the
-//! daemon ingest pair). Entries with no sibling in the dump are
-//! ignored; a dump holding *no* comparable pair of any kind is itself
-//! an error, so renaming benches cannot silently disable the gate.
+//! daemon ingest pair, [`TABLE_TOLERANCE`] for the table pair). Entries
+//! with no sibling in the dump are ignored; a dump holding *no*
+//! comparable pair of any kind is itself an error, so renaming benches
+//! cannot silently disable the gate.
 
 use serde::Value;
 use std::process::ExitCode;
@@ -40,6 +47,23 @@ const TOLERANCE: f64 = 1.25;
 /// at most a tenth of the baseline's. Well below 1.0 on purpose — this
 /// family gates a claimed order-of-magnitude win, not mere parity.
 const MMAP_TOLERANCE: f64 = 0.1;
+
+/// Allowed table/sweep mean-time ratio for Algorithm 1's piece table:
+/// the table must serve a chain at least 4× faster than the sweep. On
+/// the gated shapes it measured 0.04–0.13, so the gate holds a claimed
+/// gain with room for shared-runner noise.
+const TABLE_TOLERANCE: f64 = 0.25;
+
+/// The table family is measured at the daemon's sizes, far below
+/// [`MIN_PARAM`]: n = 16 and 32.
+const TABLE_MIN_PARAM: i64 = 16;
+
+/// The `alg1/table` shapes the gate holds: the `ceiling` mix's shard
+/// shapes, whose chains the table exists to serve. The `dense` rows are
+/// reported, not gated: on weakly correlated dense rows the chain stays
+/// at small α, where the warm-started sweep already stops after a pair
+/// or two and a table has little to save.
+const TABLE_GATED_SHAPES: [&str; 2] = ["clickstream", "roadrestart"];
 
 /// Reader threads `bench_serve` races against ingest — mirrored here
 /// because the legitimate contention bound depends on it.
@@ -83,26 +107,49 @@ fn run(path: &str) -> Result<(), String> {
             continue;
         };
         let param = *param as i64;
-        // Candidate vs baseline naming and tolerance, per bench family.
-        let (prefix, sibling, tolerance) = if let Some(p) = group.strip_suffix("/folded") {
+        // Candidate vs baseline naming, tolerance and smallest gated
+        // parameter, per bench family.
+        let (prefix, sibling, tolerance, min_param) = if let Some(p) = group.strip_suffix("/folded")
+        {
             if !p.starts_with("acct/") {
                 continue;
             }
-            (format!("{p}/folded"), format!("{p}/unfolded"), TOLERANCE)
+            (
+                format!("{p}/folded"),
+                format!("{p}/unfolded"),
+                TOLERANCE,
+                MIN_PARAM,
+            )
         } else if let Some(p) = group.strip_suffix("/mmap") {
             if p != "resume" {
                 continue;
             }
-            (format!("{p}/mmap"), format!("{p}/copy"), MMAP_TOLERANCE)
+            (
+                format!("{p}/mmap"),
+                format!("{p}/copy"),
+                MMAP_TOLERANCE,
+                MIN_PARAM,
+            )
         } else if let Some(p) = group.strip_suffix("-readers") {
             if !p.starts_with("serve/") {
                 continue;
             }
-            (group.clone(), format!("{p}-quiet"), serve_tolerance())
+            (
+                group.clone(),
+                format!("{p}-quiet"),
+                serve_tolerance(),
+                MIN_PARAM,
+            )
+        } else if let Some(shape) = group.strip_prefix("alg1/table/") {
+            if !TABLE_GATED_SHAPES.contains(&shape) {
+                continue;
+            }
+            let sibling = format!("alg1/sweep/{shape}");
+            (group.clone(), sibling, TABLE_TOLERANCE, TABLE_MIN_PARAM)
         } else {
             continue;
         };
-        if param < MIN_PARAM {
+        if param < min_param {
             continue;
         }
         let baseline = results.iter().find(|e| {
@@ -133,7 +180,7 @@ fn run(path: &str) -> Result<(), String> {
     }
     if compared == 0 {
         return Err(format!(
-            "{path}: no candidate/baseline pair at n >= {MIN_PARAM} — \
+            "{path}: no candidate/baseline pair at a gated size — \
              the gate would be vacuous (were benches renamed?)"
         ));
     }

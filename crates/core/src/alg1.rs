@@ -65,6 +65,23 @@
 //!   the gap test are skipped in `O(1)` when their ratio bound is
 //!   beaten. Pairs with `g₀ = 0` can never exceed `L = 0` and are
 //!   dropped from the index at build time.
+//! * **Duplicate-free index** — [`PairIndex::new`] keeps only the lowest
+//!   `(q_row, d_row)` among ordered pairs whose Corollary-2 candidates
+//!   (the `(j, q_j, d_j)` with `q_j > d_j`, ascending `j`) are bitwise
+//!   equal. The per-pair solve sees nothing else of a pair, so such
+//!   pairs give the same sums and objective at every α, and the sweep's
+//!   tie-break (below) always picks the lowest of them: dropping the rest
+//!   cannot change a result. On the matrices the daemon serves most
+//!   ordered pairs are such copies — a click-stream row `a` has the one
+//!   candidate `a` against every other row, and a road row with a
+//!   uniform restart has the same candidates against every row far from
+//!   it: the `ceiling` mix's 16/21/26/32-state shards keep 16/256/26/381
+//!   of their 240/420/650/992 ordered pairs. Both bound reductions sum
+//!   `g₀` in the same lane order, so equal candidates give bitwise-equal
+//!   `(g₀, r_max)`: duplicates are grouped by the sweep-order sort itself
+//!   (no hash collections, no extra pass on dense rows) and confirmed by
+//!   comparing the candidate lists. Sparse rows, whose pairs are mostly
+//!   copies, are deduplicated row by row as they are built.
 //! * **Witness warm-start** — the recursions that drive this engine
 //!   (`BPL(t) = L(BPL(t−1)) + ε_t` and friends) evaluate `L` at a slowly
 //!   moving sequence of α values under one fixed matrix, and the
@@ -84,12 +101,70 @@
 //!   bisections, and multi-ε grids above allocate nothing and touch no
 //!   lock per probe.
 //!
-//! Every evaluation runs one serial pruned sweep on the calling thread.
-//! Its incumbent order — maximum value, ties broken toward the lowest
-//! `(q_row, d_row)` — is the naive row-major sweep's, so pruning and
-//! warm starts never change a result. Parallelism lives above this
-//! module: across tenants and requests, and across the population's
-//! shards ([`crate::personalized`]).
+//! Every evaluation runs on the calling thread: one piece-table lookup
+//! (next section) or one serial pruned sweep. The sweep's incumbent
+//! order — maximum value, ties broken toward the lowest `(q_row, d_row)`
+//! — is the naive row-major sweep's, so pruning, warm starts and the
+//! table never change a result. Parallelism lives above this module:
+//! across tenants and requests, and across the population's shards
+//! ([`crate::personalized`]).
+//!
+//! # The piece table: Algorithm 1 once per matrix
+//!
+//! Theorem 4's active set is a threshold set on `q_j/d_j`, so for a
+//! fixed matrix `L(α)` is the upper envelope of the functions
+//! `ln((Q·x + 1)/(D·x + 1))`, `x = e^α − 1`, one per row pair and
+//! ratio-sorted prefix of its candidates. Any two of them cross at most
+//! once for `x > 0`. A [`crate::TemporalLossFunction`] builds a
+//! `PieceTable` of that envelope over a fixed α range
+//! (`TABLE_ALPHA`, `[2⁻¹⁰, 32]`) on its first evaluation, and serves
+//! every α in the range from it with one or two per-pair solves instead
+//! of a sweep:
+//!
+//! * **Pieces.** Sweeps at both ends of the range give two winning
+//!   functions; if they differ, their crossing
+//!   `x* = (Q₂ + D₁ − Q₁ − D₂)/(Q₁·D₂ − Q₂·D₁)` is confirmed by one sweep
+//!   at `x*`, or a third function wins there and both halves recurse.
+//!   Functions compare by their `(q_sum, d_sum)` bits, so exact ties do
+//!   not recurse.
+//! * **Rival lists.** Each piece lists its winner's pair and every other
+//!   index pair with a ratio-sorted prefix whose objective is not
+//!   provably `≤ (1 − δ)×` the winner's over the whole piece. For one
+//!   prefix `(Q, D)` against the winner `(Q_W, D_W)`, the difference
+//!   `h(x) = (1 − δ)(Q_W·x + 1)(D·x + 1) − (Q·x + 1)(D_W·x + 1)` is a
+//!   quadratic (at most two real roots) with `h(0) = −δ < 0`. When
+//!   `h > 0` at both ends of the piece, one root lies below the piece,
+//!   so no two lie inside it and `h > 0` on all of it: the test is two
+//!   point evaluations per prefix. Pairs are
+//!   first screened with their `g₀`/`r_max` bounds (the gap bound is such
+//!   a function too), which settles almost all of them without their
+//!   prefixes. Every prefix bounds every subset of its pair — the best
+//!   subset at any x is a ratio-threshold set, i.e. a prefix — so every
+//!   pair left out of a piece's list computes an objective below the
+//!   winner's by more than float error anywhere on the piece
+//!   (`table_margin` derives `δ`). An evaluation binary-searches its
+//!   piece, solves the listed pairs and merges them through
+//!   `Incumbent::beats`, so the witness equals the sweep's bit for bit
+//!   even where a breakpoint is off by some ulps or a narrow piece was
+//!   missed: no guard band and no fallback near breakpoints.
+//! * **Range.** The range starts above 0: as α → 0 every objective
+//!   tends to 1 and no pair can be excluded by a relative margin. α
+//!   outside the range, and α = 0, take the sweep.
+//! * **Selection, from the matrix alone.** A duplicate-free index of at
+//!   most two pairs — every 2-state matrix — gets no table: a table
+//!   cannot beat a 2-pair sweep. An index too large to afford 8 pieces
+//!   under `TABLE_CAP` (`pieces × pairs`), e.g. a dense 50-state one,
+//!   gets none either, before any sweep runs, and a build whose envelope
+//!   outgrows the cap records "no table"; such functions keep sweeping.
+//!   The build streams pair by pair with one prefix buffer, so its
+//!   transient memory is `O(n + pairs)`.
+//!
+//! On the `ceiling` mix's click-stream and road-with-restart shards the
+//! table has one piece with a list of one or two pairs, builds in
+//! 0.01–0.12 ms, and serves an evaluation in about 0.2 µs, against 1–3.5 µs for
+//! the duplicate-free sweep and 13–68 µs for the sweep over all pairs.
+//! Dense 16–32-state matrices have 9–14 pieces and build in 0.5–11 ms
+//! (the sweeps at mid-range x, where neither bound prunes, dominate).
 //!
 //! # One sweep, and a struct-of-arrays index
 //!
@@ -122,9 +197,11 @@
 //! dense f64 memory. The build is where lanes pay: its `O(n² · nnz)`
 //! per-pair `g₀`/`r_max` reduction seeds from the numerator row's
 //! support list on sparse rows (a candidate needs `q_j > d_j ≥ 0`) and
-//! runs in fixed 8-wide lanes on fully dense rows. The lane split
-//! reassociates `g₀`, which is allowed there only: the bounds steer
-//! conservative pruning and never reach a result (see `BOUND_SLACK`).
+//! runs in fixed 8-wide lanes on fully dense rows; the support gather
+//! sums into the same lanes, so both paths give the same bits. The lane
+//! split reassociates `g₀`, which is allowed there only: the bounds
+//! steer conservative pruning and duplicate grouping and never reach a
+//! result (see `BOUND_SLACK`).
 //!
 //! The module also contains a brute-force reference solver built on
 //! Lemma 3 (the optimum places each `x_j` at either `m` or `e^α m`, so it
@@ -366,15 +443,38 @@ const fn unpack_pair(id: u64) -> (usize, usize) {
 /// packed pair never has `q_row == d_row == u32::MAX`.
 const NO_SKIP: u64 = u64::MAX;
 
+/// Lane width of the index-build reduction. A compile-time constant
+/// (never derived from the host CPU) so the build is deterministic; 8
+/// f64 elements span two AVX2 or one AVX-512 register and give the
+/// autovectorizer room to unroll on narrower targets.
+const LANES: usize = 8;
+
 /// `g₀`/`r_max` seeded from the numerator row's support list: a
 /// Corollary-2 candidate needs `q_j > d_j ≥ 0`, hence `q_j > 0`, so the
-/// gather visits exactly the dense scan's candidates in the same
-/// ascending order — same sums, same maxima, `O(nnz)` instead of `O(n)`.
+/// gather visits exactly the dense scan's candidates — same maxima,
+/// `O(nnz)` instead of `O(n)`. `g₀` is summed in the lanes of
+/// [`pair_bounds_dense_chunked`] (index `j` into lane `j mod LANES`
+/// below the last full chunk, the rest after the fold), so equal
+/// candidate lists give bitwise-equal bounds on either path — the
+/// property the duplicate rule groups by.
 #[inline]
 fn pair_bounds_support(q_row: &[f64], d_row: &[f64], support: &[u32]) -> (f64, f64) {
-    let mut g0 = 0.0;
+    let split = q_row.len() - q_row.len() % LANES;
+    let mut g = [0.0_f64; LANES];
     let mut rmax = 1.0_f64;
-    for &j in support {
+    let tail = support.partition_point(|&j| (j as usize) < split);
+    for &j in &support[..tail] {
+        let (qj, dj) = (q_row[j as usize], d_row[j as usize]);
+        if qj > dj {
+            g[j as usize % LANES] += qj - dj;
+            rmax = rmax.max(if dj == 0.0 { f64::INFINITY } else { qj / dj });
+        }
+    }
+    let mut g0 = 0.0;
+    for gl in g {
+        g0 += gl;
+    }
+    for &j in &support[tail..] {
         let (qj, dj) = (q_row[j as usize], d_row[j as usize]);
         if qj > dj {
             g0 += qj - dj;
@@ -384,20 +484,15 @@ fn pair_bounds_support(q_row: &[f64], d_row: &[f64], support: &[u32]) -> (f64, f
     (g0, rmax)
 }
 
-/// Lane width of the dense index-build reduction. A compile-time
-/// constant (never derived from the host CPU) so the build is
-/// deterministic; 8 f64 elements span two AVX2 or one AVX-512 register
-/// and give the autovectorizer room to unroll on narrower targets.
-const LANES: usize = 8;
-
 /// Lane-chunked `g₀`/`r_max` reduction for fully dense rows: `LANES`
 /// independent accumulators folded in a fixed order at the end. The
 /// lane split reassociates the `g₀` sum relative to a left-to-right
 /// scan — deliberately allowed *here only*, because `g₀`/`r_max` steer
-/// conservative pruning and the pair visit order; they never reach a
-/// returned value (candidates with `q_j > d_j` contribute strictly
-/// positive terms, so `g₀ > 0` iff a candidate exists in either order,
-/// and `BOUND_SLACK` absorbs the low-bit drift in bound comparisons).
+/// conservative pruning, the pair visit order and duplicate grouping;
+/// they never reach a returned value (candidates with `q_j > d_j`
+/// contribute strictly positive terms, so `g₀ > 0` iff a candidate
+/// exists in either order, and `BOUND_SLACK` absorbs the low-bit drift
+/// in bound comparisons).
 #[inline]
 fn pair_bounds_dense_chunked(q_row: &[f64], d_row: &[f64]) -> (f64, f64) {
     let mut g = [0.0_f64; LANES];
@@ -430,8 +525,67 @@ fn pair_bounds_dense_chunked(q_row: &[f64], d_row: &[f64]) -> (f64, f64) {
     (g0, rmax)
 }
 
-/// Precomputed pruning index over all informative ordered row pairs of
-/// one matrix, sorted by gap mass `g₀` descending (ties toward the
+/// The Corollary-2 candidates `(j, q_j, d_j)` of one packed pair, in
+/// ascending `j`, as the sweep's seed loop visits them.
+fn candidates<'m>(
+    matrix: &'m TransitionMatrix,
+    support: &'m [Vec<u32>],
+    id: u64,
+) -> impl Iterator<Item = (usize, f64, f64)> + 'm {
+    let (a, b) = unpack_pair(id);
+    let (q_row, d_row) = (matrix.row(a), matrix.row(b));
+    support[a]
+        .iter()
+        .map(|&j| (j as usize, q_row[j as usize], d_row[j as usize]))
+        .filter(|&(_, qj, dj)| qj > dj)
+}
+
+/// Whether two pairs' candidate lists are bitwise equal — then
+/// [`solve_pair_into`] sees the same input for both and returns the same
+/// sums and active set at every α.
+fn same_candidates(matrix: &TransitionMatrix, support: &[Vec<u32>], x: u64, y: u64) -> bool {
+    let bits = |(j, qj, dj): (usize, f64, f64)| (j, qj.to_bits(), dj.to_bits());
+    candidates(matrix, support, x)
+        .map(bits)
+        .eq(candidates(matrix, support, y).map(bits))
+}
+
+/// One informative ordered pair while the index is built.
+#[derive(Debug, Clone, Copy)]
+struct PairEntry {
+    id: u64,
+    g0: f64,
+    rmax: f64,
+}
+
+/// Sort `entries` into sweep order — `g₀` descending, ties toward the
+/// lowest packed id (`total_cmp` keeps this panic-free on any input) —
+/// and keep, of every set of pairs with bitwise-equal candidates, only
+/// the lowest id. Equal candidates give bitwise-equal `(g₀, r_max)`, so
+/// duplicates sit in one run of equal `g₀` and only pairs that also share
+/// `r_max` are compared, by [`same_candidates`]. Grouping by sorting keeps
+/// the build free of hash collections.
+fn drop_duplicates(entries: &mut Vec<PairEntry>, matrix: &TransitionMatrix, support: &[Vec<u32>]) {
+    entries.sort_unstable_by(|x, y| y.g0.total_cmp(&x.g0).then_with(|| x.id.cmp(&y.id)));
+    let mut kept = 0;
+    let mut run = 0; // first kept entry with the current g₀
+    for i in 0..entries.len() {
+        let e = entries[i];
+        if kept == 0 || entries[kept - 1].g0.to_bits() != e.g0.to_bits() {
+            run = kept;
+        } else if entries[run..kept].iter().any(|k| {
+            k.rmax.to_bits() == e.rmax.to_bits() && same_candidates(matrix, support, k.id, e.id)
+        }) {
+            continue;
+        }
+        entries[kept] = e;
+        kept += 1;
+    }
+    entries.truncate(kept);
+}
+
+/// Precomputed pruning index over the distinct informative ordered row
+/// pairs of one matrix, sorted by gap mass `g₀` descending (ties toward the
 /// lowest `(q_row, d_row)` so sweeps visit pairs in a deterministic
 /// order), laid out **struct-of-arrays**: three parallel arrays (packed
 /// pair ids, `g₀`, `r_max`) so the sweep's pruning passes are linear
@@ -461,7 +615,10 @@ pub struct PairIndex {
 impl PairIndex {
     /// Scan all ordered row pairs of `matrix` and build the sorted bound
     /// index plus the per-row support lists. Pairs with no Corollary-2
-    /// candidate (`g₀ = 0`, so `L(a,b) ≡ 0`) are dropped immediately.
+    /// candidate (`g₀ = 0`, so `L(a,b) ≡ 0`) are dropped immediately, and
+    /// of pairs whose candidates are bitwise equal only the lowest
+    /// `(q_row, d_row)` is kept (see the module docs: duplicates tie at
+    /// every α, and the sweep's tie-break picks the lowest of them).
     ///
     /// Assumes `matrix` upholds [`TransitionMatrix`]'s invariant (finite,
     /// non-negative entries — every constructor validates). This function
@@ -483,47 +640,43 @@ impl PairIndex {
                     .collect()
             })
             .collect();
-        let cap = n.saturating_mul(n.saturating_sub(1));
-        let mut pair_ids = Vec::with_capacity(cap);
-        let mut g0s = Vec::with_capacity(cap);
-        let mut rmaxs = Vec::with_capacity(cap);
+        let mut kept: Vec<PairEntry> = Vec::new();
+        let mut row: Vec<PairEntry> = Vec::with_capacity(n);
         for (a, sup) in support.iter().enumerate() {
             let q_row = matrix.row(a);
-            for b in 0..n {
-                if a == b {
-                    continue;
-                }
+            // Fully dense rows (support == all of 0..n) take the
+            // lane-chunked contiguous reduction; sparse rows gather only
+            // their nonzeros.
+            let dense = sup.len() == n;
+            row.clear();
+            for b in (0..n).filter(|&b| b != a) {
                 let d_row = matrix.row(b);
-                // Fully dense rows (support == all of 0..n) take the
-                // lane-chunked contiguous reduction; sparse rows gather
-                // only their nonzeros.
-                let (g0, rmax) = if sup.len() == n {
+                let (g0, rmax) = if dense {
                     pair_bounds_dense_chunked(q_row, d_row)
                 } else {
                     pair_bounds_support(q_row, d_row, sup)
                 };
                 if g0 > 0.0 {
-                    pair_ids.push(pack_pair(a, b));
-                    g0s.push(g0);
-                    rmaxs.push(rmax);
+                    let id = pack_pair(a, b);
+                    row.push(PairEntry { id, g0, rmax });
                 }
             }
+            // A sparse row's pairs are mostly copies of each other (every
+            // denominator row that is zero on its support gives the same
+            // candidates), so dropping them row by row keeps the build's
+            // memory near the survivors on large sparse matrices.
+            if !dense {
+                drop_duplicates(&mut row, matrix, &support);
+            }
+            kept.extend_from_slice(&row);
         }
-        // Argsort by (g₀ desc, packed id asc), then gather each array
-        // through the permutation. `total_cmp` keeps this panic-free on
-        // any input (for the finite positive g₀ of a valid matrix it
-        // orders exactly like `partial_cmp`).
-        let mut order: Vec<u32> = (0..pair_ids.len() as u32).collect();
-        order.sort_unstable_by(|&x, &y| {
-            g0s[y as usize]
-                .total_cmp(&g0s[x as usize])
-                .then_with(|| pair_ids[x as usize].cmp(&pair_ids[y as usize]))
-        });
+        // Every duplicate, within rows and across them, and sweep order.
+        drop_duplicates(&mut kept, matrix, &support);
         PairIndex {
             n,
-            pair_ids: order.iter().map(|&i| pair_ids[i as usize]).collect(),
-            g0: order.iter().map(|&i| g0s[i as usize]).collect(),
-            rmax: order.iter().map(|&i| rmaxs[i as usize]).collect(),
+            pair_ids: kept.iter().map(|e| e.id).collect(),
+            g0: kept.iter().map(|e| e.g0).collect(),
+            rmax: kept.iter().map(|e| e.rmax).collect(),
             support,
         }
     }
@@ -556,7 +709,7 @@ impl PairIndex {
         self.n
     }
 
-    /// Number of informative pairs retained (`≤ n(n−1)`).
+    /// Number of distinct informative pairs retained (`≤ n(n−1)`).
     pub fn len(&self) -> usize {
         self.pair_ids.len()
     }
@@ -596,6 +749,22 @@ impl Incumbent {
     fn beats(&self, other: &Incumbent) -> bool {
         self.obj > other.obj
             || (self.obj == other.obj && (self.q_row, self.d_row) < (other.q_row, other.d_row))
+    }
+
+    /// The witness of a finished merge, given the winner's active set:
+    /// the zero witness unless the winner beats the empty set's 1.
+    fn into_witness(self, active: Vec<usize>) -> LossWitness {
+        if self.obj <= 1.0 {
+            return LossWitness::zero();
+        }
+        LossWitness {
+            q_row: self.q_row,
+            d_row: self.d_row,
+            q_sum: self.q_sum,
+            d_sum: self.d_sum,
+            value: self.obj.ln(),
+            active,
+        }
     }
 }
 
@@ -797,27 +966,288 @@ fn finalize_witness(
         Some(index.support_of(best.q_row)),
     );
     debug_assert_eq!((q, d), (best.q_sum, best.d_sum));
-    LossWitness {
-        q_row: best.q_row,
-        d_row: best.d_row,
-        q_sum: best.q_sum,
-        d_sum: best.d_sum,
-        value: best.obj.ln(),
-        // The scratch indices are *copied* (not taken) so the buffers
-        // keep their capacity for the session's next evaluation.
-        active: scratch.idx.clone(),
+    // The scratch indices are *copied* (not taken) so the buffers keep
+    // their capacity for the session's next evaluation.
+    best.into_witness(scratch.idx.clone())
+}
+
+/// The α range a [`PieceTable`] covers, as `(lowest, highest)`. It
+/// starts above 0 because every objective tends to 1 as α → 0, so near 0
+/// no pair can be told apart from the winner by the margin
+/// [`table_margin`]; α outside the range (α = 0 included) takes the
+/// sweep.
+const TABLE_ALPHA: (f64, f64) = (1.0 / 1024.0, 32.0);
+
+/// Most `pieces × pairs` a [`PieceTable`] build may reach. The build
+/// costs about two sweeps per piece plus one bound screen per piece and
+/// pair, and a table pays off only when its pieces are few, so past this
+/// cap the loss function records "no table" and keeps sweeping. An index
+/// too large to afford 8 pieces is refused before any sweep runs.
+const TABLE_CAP: usize = 16384;
+
+/// Relative margin `δ` by which the rival test must place a pair below
+/// a piece's winner for the pair to be left out of the piece's list.
+/// It must exceed the float error separating the exact objectives the
+/// test reasons about from the computed ones the sweep compares (`u` =
+/// `f64::EPSILON / 2`, sums of at most `n` non-negative terms):
+///
+/// * each active-set sum carries a relative error below `n·u`, and the
+///   objective `(q·x + 1)/(d·x + 1)` of computed sums adds at most
+///   `4u`, on each of the two sides compared;
+/// * the prefix sums the test uses carry another `n·u`, and `g₀` (lane
+///   summed) likewise;
+/// * the computed active set is optimal up to its discard test's
+///   rounding: the test misplaces only a candidate whose ratio lies
+///   within about `(n + 4)·u` of the threshold, and moving such a
+///   candidate moves the objective (a mediant) by no more than that.
+///
+/// That totals under `8(n + 4)·u = 4(n + 4)·ε`. The margin is 256× that,
+/// and the float tests themselves run at `2δ`, which absorbs their own
+/// few roundings.
+fn table_margin(n: usize) -> f64 {
+    1024.0 * (n as f64 + 4.0) * f64::EPSILON
+}
+
+/// An exact piecewise description of `L(α)` over [`TABLE_ALPHA`] for one
+/// matrix, in `x = e^α − 1`. A piece is an x-interval on which one
+/// function `(Q·x + 1)/(D·x + 1)` wins the sweep; for each piece the table
+/// lists the winner's pair and its **rivals**: every other index pair
+/// with a ratio-sorted prefix of its candidates whose objective is not
+/// provably `≤ (1 − δ)×` the winner's over the whole piece. Theorem 4's
+/// active sets are ratio-threshold sets, so those prefixes bound every
+/// subset a pair can select, and every pair left out of a piece's list
+/// computes an objective strictly below the winner's anywhere on the
+/// piece. Serving α from the piece's list through [`Incumbent::beats`]
+/// therefore returns the sweep's witness bit for bit, whatever the
+/// precision of the breakpoints (see the module docs).
+#[derive(Debug, Clone)]
+pub(crate) struct PieceTable {
+    /// The covered x-range `[x_lo, x_hi]`.
+    x_lo: f64,
+    x_hi: f64,
+    /// Where each piece after the first starts, ascending.
+    cuts: Vec<f64>,
+    /// Piece `i`'s packed pair ids are `pairs[starts[i]..starts[i + 1]]`.
+    starts: Vec<u32>,
+    pairs: Vec<u64>,
+}
+
+/// Whether two sweep results are the same function of x: equal sums
+/// give equal objectives at every α.
+fn same_function(a: &Incumbent, b: &Incumbent) -> bool {
+    a.q_sum.to_bits() == b.q_sum.to_bits() && a.d_sum.to_bits() == b.d_sum.to_bits()
+}
+
+impl PieceTable {
+    /// Build the table for `matrix`, or `None` when the matrix does not
+    /// qualify: an index of at most two pairs (a table cannot beat a
+    /// 2-pair sweep), more than [`TABLE_CAP`] pieces × pairs, or a piece
+    /// whose winner is not clear of the empty set's objective 1.
+    pub(crate) fn build(matrix: &TransitionMatrix, index: &PairIndex) -> Option<Self> {
+        let pairs = index.len();
+        if pairs <= 2 || pairs > TABLE_CAP / 8 {
+            return None;
+        }
+        let (x_lo, x_hi) = (TABLE_ALPHA.0.exp_m1(), TABLE_ALPHA.1.exp_m1());
+        let mut scratch = SweepScratch::with_capacity(matrix.n());
+        let pieces = envelope(matrix, index, x_lo, x_hi, TABLE_CAP / pairs, &mut scratch)?;
+        let keep_out = 1.0 - 2.0 * table_margin(matrix.n());
+        let bound = |w: &Incumbent, x: f64| keep_out * objective_em1(w.q_sum, w.d_sum, x);
+        if pieces.iter().any(|&(x, w)| bound(&w, x) <= 1.0) {
+            return None;
+        }
+        let end = |p: usize| pieces.get(p + 1).map_or(x_hi, |&(x, _)| x);
+        let mut lists: Vec<(u32, u64)> = Vec::with_capacity(2 * pieces.len());
+        let mut cands: Vec<(f64, f64)> = Vec::with_capacity(matrix.n());
+        let mut prefix: Vec<(f64, f64)> = Vec::with_capacity(matrix.n());
+        for i in 0..pairs {
+            let id = index.pair_ids[i];
+            prefix.clear();
+            for (p, &(xa, w)) in pieces.iter().enumerate() {
+                let xb = end(p);
+                if id == pack_pair(w.q_row, w.d_row) {
+                    lists.push((p as u32, id));
+                    continue;
+                }
+                // Screen: the gap bound 1 + g₀x up to where it meets the
+                // ratio bound, the ratio bound from there on.
+                let rmax = index.rmax[i].max(1.0);
+                let s = ((rmax - 1.0) / index.g0[i]).clamp(xa, xb);
+                let gap_below = |x: f64| index.g0[i] * x + 1.0 <= bound(&w, x);
+                if (s <= xa || (gap_below(xa) && gap_below(s))) && (s >= xb || rmax <= bound(&w, s))
+                {
+                    continue;
+                }
+                if prefix.is_empty() {
+                    ratio_prefixes(matrix, index, id, &mut cands, &mut prefix);
+                }
+                let above = |x: f64| {
+                    let b = bound(&w, x);
+                    prefix.iter().any(|&(q, d)| objective_em1(q, d, x) > b)
+                };
+                if above(xa) || above(xb) {
+                    lists.push((p as u32, id));
+                }
+            }
+        }
+        lists.sort_unstable();
+        let mut starts = Vec::with_capacity(pieces.len() + 1);
+        for p in 0..pieces.len() as u32 {
+            starts.push(lists.partition_point(|&(q, _)| q < p) as u32);
+        }
+        starts.push(lists.len() as u32);
+        Some(PieceTable {
+            x_lo,
+            x_hi,
+            cuts: pieces[1..].iter().map(|&(x, _)| x).collect(),
+            starts,
+            pairs: lists.into_iter().map(|(_, id)| id).collect(),
+        })
+    }
+
+    /// Serve `L(α)` from the piece holding `x = e^α − 1`: solve the
+    /// winner and its rivals only and merge them as the sweep does,
+    /// keeping the leader's active set as it goes.
+    /// `None` when α lies outside the covered range (the caller sweeps).
+    /// `alpha` must already have passed `check_alpha`.
+    fn witness(
+        &self,
+        matrix: &TransitionMatrix,
+        index: &PairIndex,
+        alpha: f64,
+        scratch: &mut SweepScratch,
+    ) -> Option<LossWitness> {
+        let em1 = alpha.exp_m1();
+        if !(self.x_lo..=self.x_hi).contains(&em1) {
+            return None;
+        }
+        let p = self.cuts.partition_point(|&c| c <= em1);
+        let mut best = Incumbent::sentinel();
+        let mut active = Vec::new();
+        for &id in &self.pairs[self.starts[p] as usize..self.starts[p + 1] as usize] {
+            let (a, b) = unpack_pair(id);
+            let (q, d) = solve_pair_into(
+                matrix.row(a),
+                matrix.row(b),
+                em1,
+                scratch,
+                Some(index.support_of(a)),
+            );
+            let cand = Incumbent {
+                obj: objective_em1(q, d, em1),
+                q_row: a,
+                d_row: b,
+                q_sum: q,
+                d_sum: d,
+            };
+            if cand.beats(&best) {
+                best = cand;
+                active.clear();
+                active.extend_from_slice(&scratch.idx);
+            }
+        }
+        Some(best.into_witness(active))
+    }
+
+    /// As [`PieceTable::witness`] with a scratch set of its own — the
+    /// one-call path of [`crate::TemporalLossFunction::witness`].
+    pub(crate) fn serve(
+        &self,
+        matrix: &TransitionMatrix,
+        index: &PairIndex,
+        alpha: f64,
+    ) -> Option<LossWitness> {
+        let mut scratch = SweepScratch::with_capacity(matrix.n());
+        self.witness(matrix, index, alpha, &mut scratch)
     }
 }
 
-/// A batched evaluation session over one `(matrix, index)` pair.
+/// The upper envelope of the sweep over `[x_lo, x_hi]`, as `(start,
+/// winner)` per piece, ascending. Two pieces' functions cross at most
+/// once for `x > 0`, at `x* = (Q₂ + D₁ − Q₁ − D₂)/(Q₁·D₂ − Q₂·D₁)`; one
+/// sweep at `x*` confirms the breakpoint, or finds a third function that
+/// wins there, and the interval is split at `x*` and refined. `None` past
+/// `max_pieces` pieces (or a probe budget of four sweeps per piece).
+fn envelope(
+    matrix: &TransitionMatrix,
+    index: &PairIndex,
+    x_lo: f64,
+    x_hi: f64,
+    max_pieces: usize,
+    scratch: &mut SweepScratch,
+) -> Option<Vec<(f64, Incumbent)>> {
+    let mut probe = |x: f64| sweep_index(matrix, index, x, Incumbent::sentinel(), NO_SKIP, scratch);
+    let mut pieces = vec![(x_lo, probe(x_lo))];
+    // Right ends still to reach, nearest on top.
+    let mut pending = vec![(x_hi, probe(x_hi))];
+    let mut probes = 2;
+    while let Some(&(xb, fb)) = pending.last() {
+        let (xa, fa) = pieces[pieces.len() - 1];
+        if same_function(&fa, &fb) {
+            pending.pop();
+            continue;
+        }
+        let cross = (fb.q_sum + fa.d_sum - fa.q_sum - fb.d_sum)
+            / (fa.q_sum * fb.d_sum - fb.q_sum * fa.d_sum);
+        // Rounding can push the crossing of two nearly equal functions
+        // out of the interval; any split point is sound (the rival lists
+        // carry the proof), so fall back to the midpoint.
+        let x = if xa < cross && cross < xb {
+            cross
+        } else {
+            0.5 * (xa + xb)
+        };
+        let fm = probe(x);
+        probes += 1;
+        if same_function(&fm, &fa) || same_function(&fm, &fb) {
+            pending.pop();
+            pieces.push((x, fb));
+        } else {
+            pending.push((x, fm));
+        }
+        if pieces.len() > max_pieces || probes > 4 * max_pieces + 2 {
+            return None;
+        }
+    }
+    Some(pieces)
+}
+
+/// Fill `prefix` with the running sums `(Q_k, D_k)` of pair `id`'s
+/// candidates sorted by ratio `q_j/d_j` descending (`d_j = 0` first) —
+/// the ratio-threshold sets of Theorem 4, one per `k`.
+fn ratio_prefixes(
+    matrix: &TransitionMatrix,
+    index: &PairIndex,
+    id: u64,
+    cands: &mut Vec<(f64, f64)>,
+    prefix: &mut Vec<(f64, f64)>,
+) {
+    cands.clear();
+    cands.extend(candidates(matrix, &index.support, id).map(|(_, qj, dj)| (qj, dj)));
+    // Correctly rounded ratios keep the exact order up to ties (q_j > 0,
+    // so d_j = 0 gives +∞).
+    cands.sort_unstable_by(|x, y| (y.0 / y.1).total_cmp(&(x.0 / x.1)));
+    let (mut q, mut d) = (0.0, 0.0);
+    for &(qj, dj) in cands.iter() {
+        q += qj;
+        d += dj;
+        prefix.push((q, d));
+    }
+}
+
+/// A batched evaluation session over one `(matrix, index)` pair and,
+/// when the matrix has one, its [`PieceTable`].
 ///
 /// The engine's per-evaluation state — the three sweep scratch buffers
 /// and the warm-start witness — lives in the session instead of being
 /// allocated (scratch) or mutex-cloned (witness) per call, so driving a
 /// whole α grid or a long recursion through one session costs one
-/// allocation set total. Results are bit-identical to independent
-/// [`temporal_loss_witness_indexed`] calls: the warm chain is the same
-/// behaviorally-invisible Theorem-4 revalidation.
+/// allocation set total. α inside the table's range is served from the
+/// table; every other α sweeps, warm-started from the session's previous
+/// witness. Results are bit-identical to independent
+/// [`temporal_loss_witness_indexed`] calls: the table is exact by
+/// construction and the warm chain is the same behaviorally-invisible
+/// Theorem-4 revalidation.
 ///
 /// This is the substrate of [`crate::loss::LossEvaluator`], which the
 /// supremum/bisection loops in [`crate::supremum`], [`crate::release`],
@@ -826,6 +1256,7 @@ fn finalize_witness(
 pub(crate) struct EvalSession<'a> {
     matrix: &'a TransitionMatrix,
     index: &'a PairIndex,
+    table: Option<&'a PieceTable>,
     scratch: SweepScratch,
     warm: Option<LossWitness>,
     evals: u64,
@@ -833,12 +1264,18 @@ pub(crate) struct EvalSession<'a> {
 
 impl<'a> EvalSession<'a> {
     /// Open a session. `index` must come from [`PairIndex::new`] on this
-    /// same `matrix` (checked by size on every evaluation, as in
-    /// [`temporal_loss_witness_indexed`]).
-    pub(crate) fn new(matrix: &'a TransitionMatrix, index: &'a PairIndex) -> Self {
+    /// same `matrix` (checked by size on every sweep, as in
+    /// [`temporal_loss_witness_indexed`]), and `table` from
+    /// [`PieceTable::build`] on both.
+    pub(crate) fn new(
+        matrix: &'a TransitionMatrix,
+        index: &'a PairIndex,
+        table: Option<&'a PieceTable>,
+    ) -> Self {
         EvalSession {
             matrix,
             index,
+            table,
             scratch: SweepScratch::with_capacity(matrix.n()),
             warm: None,
             evals: 0,
@@ -855,13 +1292,20 @@ impl<'a> EvalSession<'a> {
     /// Evaluate `L(α)` and expose the maximizing witness by reference
     /// (it doubles as the warm seed of the next evaluation).
     pub(crate) fn witness(&mut self, alpha: f64) -> Result<&LossWitness> {
-        let w = eval_indexed(
-            self.matrix,
-            self.index,
-            alpha,
-            self.warm.as_ref(),
-            &mut self.scratch,
-        )?;
+        check_alpha(alpha)?;
+        let served = self
+            .table
+            .and_then(|t| t.witness(self.matrix, self.index, alpha, &mut self.scratch));
+        let w = match served {
+            Some(w) => w,
+            None => eval_indexed(
+                self.matrix,
+                self.index,
+                alpha,
+                self.warm.as_ref(),
+                &mut self.scratch,
+            )?,
+        };
         self.evals += 1;
         Ok(self.warm.insert(w))
     }
@@ -876,6 +1320,11 @@ impl<'a> EvalSession<'a> {
         self.evals
     }
 
+    /// Whether the session serves in-range α from a piece table.
+    pub(crate) fn has_table(&self) -> bool {
+        self.table.is_some()
+    }
+
     /// Take the warm witness out of a session that cannot be moved from
     /// (e.g. inside a `Drop` impl); the session stays usable but cold.
     pub(crate) fn take_warm(&mut self) -> Option<LossWitness> {
@@ -887,8 +1336,8 @@ impl<'a> EvalSession<'a> {
 /// lines 2 and 12), returning the maximizing witness.
 ///
 /// Builds a fresh [`PairIndex`] per call; recursions should go through
-/// [`crate::TemporalLossFunction`], which caches the index *and* the
-/// witness across steps.
+/// [`crate::TemporalLossFunction`], which caches the index, the piece
+/// table or the warm witness across steps.
 ///
 /// `α = 0` always yields `L = 0` (no prior leakage to amplify); a matrix
 /// with a single state likewise yields `0`.
@@ -940,17 +1389,7 @@ pub fn temporal_loss_witness_unpruned(
             }
         }
     }
-    if best.obj <= 1.0 {
-        return Ok(LossWitness::zero());
-    }
-    Ok(LossWitness {
-        q_row: best.q_row,
-        d_row: best.d_row,
-        q_sum: best.q_sum,
-        d_sum: best.d_sum,
-        value: best.obj.ln(),
-        active: best_active,
-    })
+    Ok(best.into_witness(best_active))
 }
 
 /// Brute-force reference via Lemma 3: the optimum places each variable at
@@ -1467,29 +1906,49 @@ mod tests {
     }
 
     /// The reference reduction for one pair's `g₀`/`r_max` bounds: a
-    /// fused branchy left-to-right scan over the dense rows.
-    fn pair_bounds_scalar(q_row: &[f64], d_row: &[f64]) -> (f64, f64) {
-        let mut g0 = 0.0;
+    /// fused branchy left-to-right scan over the dense rows, and `g₀`
+    /// summed in the build's lane order (index `j` into lane
+    /// `j mod LANES` below the last full chunk, the rest after the fold).
+    fn pair_bounds_scalar(q_row: &[f64], d_row: &[f64]) -> (f64, f64, f64) {
+        let split = q_row.len() - q_row.len() % LANES;
+        let (mut g0, mut lanes, mut tail) = (0.0, [0.0; LANES], Vec::new());
         let mut rmax = 1.0_f64;
-        for (&qj, &dj) in q_row.iter().zip(d_row) {
+        for (j, (&qj, &dj)) in q_row.iter().zip(d_row).enumerate() {
             if qj > dj {
                 g0 += qj - dj;
                 rmax = rmax.max(if dj == 0.0 { f64::INFINITY } else { qj / dj });
+                if j < split {
+                    lanes[j % LANES] += qj - dj;
+                } else {
+                    tail.push(qj - dj);
+                }
             }
         }
-        (g0, rmax)
+        let lane_g0 = tail
+            .iter()
+            .fold(lanes.iter().fold(0.0, |s, g| s + g), |s, t| s + t);
+        (g0, rmax, lane_g0)
+    }
+
+    /// A pair's Corollary-2 candidates as comparable bits — the
+    /// reference form of the duplicate rule.
+    fn candidate_bits(p: &TransitionMatrix, a: usize, b: usize) -> Vec<(usize, u64, u64)> {
+        (0..p.n())
+            .filter(|&j| p.get(a, j) > p.get(b, j))
+            .map(|j| (j, p.get(a, j).to_bits(), p.get(b, j).to_bits()))
+            .collect()
     }
 
     #[test]
     fn index_build_matches_scalar_reference() {
         // The support-seeded, lane-chunked build must retain exactly the
-        // pair set the dense scalar scan finds. On dense rows the
-        // lane-summed g₀ may differ in low bits (and thus permute
-        // near-tied pairs in the sort) — harmless, since the bounds only
-        // steer conservative pruning and the sweep max is
-        // visit-order-independent — but on sparse rows the support
-        // gather replays the scalar visits, so there the bounds and the
-        // order agree to the bit.
+        // pair set the dense scalar scan finds once the duplicate rule is
+        // applied (of pairs with bitwise-equal candidates, the lowest
+        // `(q_row, d_row)` stays). The lane-summed g₀ may differ from the
+        // left-to-right sum in low bits (and thus permute near-tied pairs
+        // in the sort) — harmless, since the bounds only steer
+        // conservative pruning and the sweep max is visit-order-
+        // independent — but it must equal the lane-order sum exactly.
         let mut rng = StdRng::seed_from_u64(11);
         for n in [2usize, 3, 7, 19, 33] {
             let dense = TransitionMatrix::random_uniform(n, &mut rng).unwrap();
@@ -1497,11 +1956,14 @@ mod tests {
             for p in [&dense, &sparse] {
                 let index = PairIndex::new(p);
                 let mut reference = Vec::new();
+                let mut seen: Vec<Vec<(usize, u64, u64)>> = Vec::new();
                 for a in 0..n {
                     for b in (0..n).filter(|&b| b != a) {
-                        let (g0, rmax) = pair_bounds_scalar(p.row(a), p.row(b));
-                        if g0 > 0.0 {
-                            reference.push((pack_pair(a, b), g0, rmax));
+                        let (g0, rmax, lane_g0) = pair_bounds_scalar(p.row(a), p.row(b));
+                        let cands = candidate_bits(p, a, b);
+                        if g0 > 0.0 && !seen.contains(&cands) {
+                            reference.push((pack_pair(a, b), g0, rmax, lane_g0));
+                            seen.push(cands);
                         }
                     }
                 }
@@ -1513,11 +1975,10 @@ mod tests {
                     let r = reference[ref_ids.binary_search(&index.pair_ids[i]).unwrap()];
                     assert!((index.g0[i] - r.1).abs() <= 1e-12 * r.1, "n={n} i={i}");
                     assert_eq!(index.rmax[i].to_bits(), r.2.to_bits(), "n={n} i={i}");
-                    // Sparse rows gather through the same candidate
-                    // visits, so their g₀ agrees to the bit outright.
-                    if index.support_of(unpack_pair(index.pair_ids[i]).0).len() < n {
-                        assert_eq!(index.g0[i].to_bits(), r.1.to_bits(), "n={n} i={i}");
-                    }
+                    // Both reductions, the support gather on sparse rows
+                    // and the lanes on dense ones, sum g₀ in the lane
+                    // order, so it agrees with that order to the bit.
+                    assert_eq!(index.g0[i].to_bits(), r.3.to_bits(), "n={n} i={i}");
                 }
                 // The guarantee that matters: the engine's end-to-end
                 // witnesses are the naive sweep's bits.
@@ -1533,6 +1994,228 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Sticky click-stream rows `P(i, j) = s·[i = j] + (1 − s)·p_j` with
+    /// random popularity `p`: every pair `(a, ·)` has the one candidate
+    /// `a`, with the same coefficients, so the index keeps one pair per
+    /// row.
+    fn click_stream(n: usize, rng: &mut StdRng) -> TransitionMatrix {
+        use rand::Rng;
+        let popularity: Vec<f64> = (0..n).map(|_| rng.gen_range(0.05f64..1.0)).collect();
+        let total: f64 = popularity.iter().sum();
+        let stay = rng.gen_range(0.6f64..0.9);
+        let rows = (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| {
+                        f64::from(u8::from(i == j)) * stay + (1.0 - stay) * popularity[j] / total
+                    })
+                    .collect()
+            })
+            .collect();
+        TransitionMatrix::from_rows(rows).unwrap()
+    }
+
+    /// A road network on a ring with √n-wide grid jumps (five random
+    /// neighbors per row, every 16th row a one-way street), mixed with a
+    /// uniform restart of weight `restart`.
+    fn road(n: usize, restart: f64, rng: &mut StdRng) -> TransitionMatrix {
+        use rand::Rng;
+        let width = (n as f64).sqrt().ceil() as usize;
+        let rows = (0..n)
+            .map(|from| {
+                let mut row = vec![0.0; n];
+                if from % 16 == 15 {
+                    row[(from + 1) % n] = 1.0;
+                } else {
+                    for to in [
+                        from,
+                        from + 1,
+                        from + n - 1,
+                        from + width,
+                        from + n - width % n,
+                    ] {
+                        row[to % n] += rng.gen_range(1e-3f64..1.0);
+                    }
+                    let total: f64 = row.iter().sum();
+                    row.iter_mut().for_each(|v| *v /= total);
+                }
+                row.iter()
+                    .map(|v| (1.0 - restart) * v + restart / n as f64)
+                    .collect()
+            })
+            .collect();
+        TransitionMatrix::from_rows(rows).unwrap()
+    }
+
+    #[test]
+    fn duplicate_pairs_leave_the_index() {
+        let mut rng = StdRng::seed_from_u64(19);
+        for n in [16usize, 32] {
+            let click = click_stream(n, &mut rng);
+            assert!(PairIndex::new(&click).len() <= n, "click-stream n={n}");
+            let full = n * (n - 1);
+            let shapes = [
+                ("road+restart", road(n, 0.05, &mut rng)),
+                ("near-deterministic", near_deterministic(n, n / 2, n as u64)),
+            ];
+            for (name, p) in &shapes {
+                let index = PairIndex::new(p);
+                assert!(index.len() < full, "{name} n={n}: {} pairs", index.len());
+            }
+            for p in shapes.iter().map(|(_, p)| p).chain([&click]) {
+                let index = PairIndex::new(p);
+                let kept: Vec<(usize, usize)> =
+                    index.pair_ids.iter().map(|&id| unpack_pair(id)).collect();
+                // Every informative pair the index dropped has the
+                // candidates of a kept pair below it.
+                for a in 0..n {
+                    for b in (0..n).filter(|&b| b != a) {
+                        let cands = candidate_bits(p, a, b);
+                        if cands.is_empty() || kept.contains(&(a, b)) {
+                            continue;
+                        }
+                        assert!(
+                            kept.iter()
+                                .any(|&k| k < (a, b) && candidate_bits(p, k.0, k.1) == cands),
+                            "n={n}: dropped ({a}, {b}) duplicates no lower kept pair"
+                        );
+                    }
+                }
+                // And the engine over the smaller index is the naive
+                // sweep's bits.
+                for alpha in [0.003, 0.05, 0.7, 4.0, 30.0] {
+                    let fast = temporal_loss_witness(p, alpha).unwrap();
+                    let naive = temporal_loss_witness_unpruned(p, alpha).unwrap();
+                    assert_eq!(fast, naive, "n={n} alpha={alpha}");
+                    assert_eq!(fast.value.to_bits(), naive.value.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn alpha_past_the_exp_m1_overflow_is_rejected() {
+        use crate::{TplError, MAX_ALPHA};
+        // The bound is exactly the last α whose e^α − 1 is finite.
+        assert!(MAX_ALPHA.exp_m1().is_finite());
+        assert!(MAX_ALPHA.next_up().exp_m1().is_infinite());
+        let ident = TransitionMatrix::identity(2).unwrap();
+        let sticky = m(vec![vec![0.8, 0.2], vec![0.1, 0.9]]);
+        for p in [&ident, &sticky] {
+            for alpha in [MAX_ALPHA.next_up(), 710.0] {
+                let loss = crate::TemporalLossFunction::new(p.clone());
+                assert_eq!(temporal_loss(p, alpha), Err(TplError::InvalidAlpha(alpha)));
+                assert!(temporal_loss_witness_unpruned(p, alpha).is_err());
+                assert!(loss.eval(alpha).is_err());
+                assert!(loss.evaluator().eval(alpha).is_err());
+            }
+        }
+        // At the bound both still give their finite values: α itself
+        // (Remark 1's maximum) and ln(q/d) = ln 8 (the saturation).
+        let at = temporal_loss(&ident, MAX_ALPHA).unwrap();
+        assert!((at - MAX_ALPHA).abs() < 1e-9, "{at}");
+        let at = temporal_loss(&sticky, MAX_ALPHA).unwrap();
+        assert!((at - 8f64.ln()).abs() < 1e-12, "{at}");
+        assert_eq!(
+            at.to_bits(),
+            temporal_loss_witness_unpruned(&sticky, MAX_ALPHA)
+                .unwrap()
+                .value
+                .to_bits()
+        );
+    }
+
+    /// Random rows with about 60% exact zeros.
+    fn sparse_random(n: usize, rng: &mut StdRng) -> TransitionMatrix {
+        use rand::Rng;
+        let rows = (0..n)
+            .map(|i| {
+                let mut row: Vec<f64> = (0..n)
+                    .map(|_| {
+                        if rng.gen::<f64>() < 0.6 {
+                            0.0
+                        } else {
+                            rng.gen()
+                        }
+                    })
+                    .collect();
+                row[i] += 0.01;
+                let total: f64 = row.iter().sum();
+                row.iter().map(|v| v / total).collect()
+            })
+            .collect();
+        TransitionMatrix::from_rows(rows).unwrap()
+    }
+
+    /// Compare two witnesses field by field, floats by their bits.
+    fn assert_same_bits(got: &LossWitness, want: &LossWitness, ctx: &str) {
+        assert_eq!((got.q_row, got.d_row), (want.q_row, want.d_row), "{ctx}");
+        assert_eq!(got.q_sum.to_bits(), want.q_sum.to_bits(), "{ctx}");
+        assert_eq!(got.d_sum.to_bits(), want.d_sum.to_bits(), "{ctx}");
+        assert_eq!(got.value.to_bits(), want.value.to_bits(), "{ctx}");
+        assert_eq!(got.active, want.active, "{ctx}");
+    }
+
+    #[test]
+    fn table_served_witnesses_equal_the_unpruned_sweep() {
+        // Differential property test over random matrices with n ≤ 32,
+        // half of them duplicate-heavy shapes: full witnesses from the
+        // piece table (through `TemporalLossFunction::witness` and
+        // through a `LossEvaluator`) against the naive sweep, at random
+        // α across the covered range and at every breakpoint ± up to 64
+        // ulps, where rounding decides between two pieces.
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(2024);
+        let mut tabled = 0;
+        let cases = 60;
+        for case in 0..cases {
+            let n = rng.gen_range(3usize..=32);
+            let p = match case % 6 {
+                0 => TransitionMatrix::random_uniform(n, &mut rng).unwrap(),
+                1 => sparse_random(n, &mut rng),
+                2 => click_stream(n, &mut rng),
+                3 => road(n, 0.05, &mut rng),
+                4 => road(n, 0.0, &mut rng),
+                _ => near_deterministic(n, n, rng.gen()),
+            };
+            let index = PairIndex::new(&p);
+            let Some(table) = PieceTable::build(&p, &index) else {
+                continue;
+            };
+            tabled += 1;
+            let (lo, hi) = (TABLE_ALPHA.0.ln(), TABLE_ALPHA.1.ln());
+            let mut alphas: Vec<f64> = (0..12).map(|_| rng.gen_range(lo..hi).exp()).collect();
+            alphas.extend([TABLE_ALPHA.0, TABLE_ALPHA.1]);
+            for &cut in &table.cuts {
+                let at = cut.ln_1p();
+                for k in [0, 1, 2, 3, 4, 8, 16, 32, 64] {
+                    let (mut up, mut down) = (at, at);
+                    for _ in 0..k {
+                        up = up.next_up();
+                        down = down.next_down();
+                    }
+                    alphas.extend([up, down]);
+                }
+            }
+            let loss = crate::TemporalLossFunction::new(p.clone());
+            let mut ev = loss.evaluator();
+            for &alpha in &alphas {
+                let naive = temporal_loss_witness_unpruned(&p, alpha).unwrap();
+                let ctx = format!("case {case} n={n} alpha={alpha:e}");
+                assert_same_bits(&loss.witness(alpha).unwrap(), &naive, &ctx);
+                assert_same_bits(ev.witness(alpha).unwrap(), &naive, &ctx);
+            }
+            assert!(
+                loss.cached_witness().is_none(),
+                "case {case}: the table served all"
+            );
+        }
+        assert!(
+            tabled >= cases * 2 / 3,
+            "only {tabled} of {cases} cases built a table"
+        );
     }
 
     #[test]

@@ -109,7 +109,8 @@ pub use wevent::{w_event_plan, WEventPlan};
 /// Errors produced by the temporal-privacy layer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TplError {
-    /// A leakage value `α` must be finite and non-negative.
+    /// A leakage value `α` must be finite, non-negative and at most
+    /// [`MAX_ALPHA`].
     InvalidAlpha(f64),
     /// A privacy budget `ε` must be finite and strictly positive.
     InvalidEpsilon(f64),
@@ -323,8 +324,16 @@ impl From<tcdp_mech::MechError> for TplError {
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, TplError>;
 
+/// The largest leakage value `α` the loss functions accept: the largest
+/// `f64` whose `e^α − 1` is finite (`≈ ln f64::MAX`). Algorithm 1 works
+/// on `e^α − 1`, and past this value it is `+∞`, the discard test
+/// evaluates `∞·0 = NaN`, every candidate set empties and `L(α)` would
+/// read 0 — a silent under-report of the leakage, so such α are rejected
+/// with [`TplError::InvalidAlpha`] instead.
+pub const MAX_ALPHA: f64 = 709.782712893384;
+
 pub(crate) fn check_alpha(alpha: f64) -> Result<()> {
-    if !alpha.is_finite() || alpha < 0.0 {
+    if !(0.0..=MAX_ALPHA).contains(&alpha) {
         return Err(TplError::InvalidAlpha(alpha));
     }
     Ok(())

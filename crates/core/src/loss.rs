@@ -16,25 +16,34 @@
 //! values (T-step BPL/FPL recursions, the supremum fixed-point iteration,
 //! the Algorithm 2/3 balance bisections), this type carries two caches:
 //!
-//! * the [`PairIndex`] pruning bounds, built once per matrix on first
-//!   evaluation and reused forever (they are α-independent);
-//! * the previous evaluation's [`LossWitness`] with its active index
-//!   subset — the *warm-start invariant*: the cached witness stays valid
-//!   at a new α exactly while its active subset still satisfies
+//! * the engine state, built once per matrix on first evaluation and
+//!   reused forever (it is α-independent): the [`PairIndex`] pruning
+//!   bounds over the matrix's distinct row pairs and, when the matrix
+//!   qualifies, the piece table of [`crate::alg1`], which serves every α
+//!   in its range with one or two per-pair solves. Whether a matrix gets
+//!   a table is decided from the matrix alone: a duplicate-free index of
+//!   more than two pairs whose envelope stays under the build cap (the
+//!   daemon's 16–32-state shards) gets one; 2-state matrices and large
+//!   dense ones do not;
+//! * for evaluations the table does not serve (no table, or α outside
+//!   its range), the previous sweep's [`LossWitness`] with its active
+//!   index subset — the *warm-start invariant*: the cached witness stays
+//!   valid at a new α exactly while its active subset still satisfies
 //!   Theorem 4's Inequalities (21) (every member's ratio `q_j/d_j`
 //!   exceeds the subset's objective) and (22) (every non-member's ratio
 //!   does not), which [`crate::alg1`] re-checks in `O(n)` since the
 //!   subset's coefficient sums do not depend on α. While the invariant
 //!   holds — the common case along a monotone leakage recursion — each
 //!   step costs `O(n)` validation plus a pruned sweep that terminates
-//!   almost immediately, instead of a fresh `O(n⁴)` scan.
+//!   almost immediately, instead of a fresh `O(n⁴)` scan. Table-served
+//!   evaluations neither read nor write this cache.
 //!
 //! Both caches are behaviorally invisible: results are bit-identical to
 //! cold evaluation. They are excluded from `PartialEq` and from the
 //! serialized form (a deserialized loss function simply rebuilds them on
 //! first use).
 
-use crate::alg1::{temporal_loss_witness_indexed, EvalSession, LossWitness, PairIndex};
+use crate::alg1::{temporal_loss_witness_indexed, EvalSession, LossWitness, PairIndex, PieceTable};
 use crate::{check_alpha, Result};
 use parking_lot::Mutex;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -58,9 +67,9 @@ use tcdp_markov::TransitionMatrix;
 #[derive(Debug)]
 pub struct TemporalLossFunction {
     matrix: TransitionMatrix,
-    /// α-independent pruning bounds, built lazily on first evaluation.
-    index: OnceLock<PairIndex>,
-    /// The previous evaluation's witness (warm-start seed).
+    /// α-independent engine state, built lazily on first evaluation.
+    engine: OnceLock<Engine>,
+    /// The previous sweep-served evaluation's witness (warm-start seed).
     warm: Mutex<Option<LossWitness>>,
     /// Number of Algorithm 1 evaluations performed through this loss
     /// function — a diagnostics/test hook (complexity assertions), not
@@ -68,12 +77,31 @@ pub struct TemporalLossFunction {
     evals: AtomicU64,
 }
 
+/// The α-independent state behind one loss function's evaluations.
+#[derive(Debug, Clone)]
+struct Engine {
+    /// The pruning index over the matrix's distinct row pairs.
+    index: PairIndex,
+    /// The piece table, when the matrix qualifies for one (see
+    /// [`crate::alg1`]); boxed, so a function without one pays a single
+    /// null pointer.
+    table: Option<Box<PieceTable>>,
+}
+
+impl Engine {
+    fn build(matrix: &TransitionMatrix) -> Self {
+        let index = PairIndex::new(matrix);
+        let table = PieceTable::build(matrix, &index).map(Box::new);
+        Engine { index, table }
+    }
+}
+
 impl TemporalLossFunction {
     /// Wrap a transition matrix.
     pub fn new(matrix: TransitionMatrix) -> Self {
         Self {
             matrix,
-            index: OnceLock::new(),
+            engine: OnceLock::new(),
             warm: Mutex::new(None),
             evals: AtomicU64::new(0),
         }
@@ -94,32 +122,57 @@ impl TemporalLossFunction {
         self.witness(alpha).map(|w| w.value)
     }
 
+    /// The engine state, built on first use.
+    fn engine(&self) -> &Engine {
+        self.engine.get_or_init(|| Engine::build(&self.matrix))
+    }
+
     /// Evaluate `L(α)` and return the maximizing rows and subset sums.
     ///
-    /// Reuses the cached pruning index and warm-starts from the previous
-    /// call's witness; both are transparent (results are bit-identical
-    /// to a cold evaluation).
+    /// Serves α from the piece table when the matrix has one and α lies
+    /// in its range; otherwise sweeps the cached pruning index,
+    /// warm-started from the previous sweep's witness. All of it is
+    /// transparent (results are bit-identical to a cold evaluation).
     pub fn witness(&self, alpha: f64) -> Result<LossWitness> {
         check_alpha(alpha)?;
-        let index = self.index.get_or_init(|| PairIndex::new(&self.matrix));
-        let warm = self.warm.lock().clone();
-        let witness = temporal_loss_witness_indexed(&self.matrix, index, alpha, warm.as_ref())?;
+        let engine = self.engine();
+        let served = engine
+            .table
+            .as_ref()
+            .and_then(|t| t.serve(&self.matrix, &engine.index, alpha));
+        let witness = match served {
+            Some(w) => w,
+            None => {
+                let warm = self.warm.lock().clone();
+                let w = temporal_loss_witness_indexed(
+                    &self.matrix,
+                    &engine.index,
+                    alpha,
+                    warm.as_ref(),
+                )?;
+                *self.warm.lock() = Some(w.clone());
+                w
+            }
+        };
         self.evals.fetch_add(1, Ordering::Relaxed);
-        *self.warm.lock() = Some(witness.clone());
         Ok(witness)
     }
 
     /// Open a batched [`LossEvaluator`] over this loss function: it
-    /// checks the warm witness out of the shared cache once, drives any
-    /// number of evaluations through one private scratch set with the
-    /// witness chained probe-to-probe, and checks the final witness back
-    /// in when dropped. Results are bit-identical to the same sequence
-    /// of [`TemporalLossFunction::eval`] calls — only the per-call mutex
+    /// drives any number of evaluations through one private scratch set.
+    /// Without a piece table it checks the warm witness out of the shared
+    /// cache once, chains it probe-to-probe, and checks the final witness
+    /// back in when dropped; with one it leaves the shared cache alone
+    /// (its out-of-range sweeps chain a session-local witness). Results
+    /// are bit-identical to the same sequence of
+    /// [`TemporalLossFunction::eval`] calls — only the per-call mutex
     /// round-trips and witness clones are gone.
     pub fn evaluator(&self) -> LossEvaluator<'_> {
-        let index = self.index.get_or_init(|| PairIndex::new(&self.matrix));
-        let mut session = EvalSession::new(&self.matrix, index);
-        session.seed(self.warm.lock().clone());
+        let engine = self.engine();
+        let mut session = EvalSession::new(&self.matrix, &engine.index, engine.table.as_deref());
+        if engine.table.is_none() {
+            session.seed(self.warm.lock().clone());
+        }
         LossEvaluator {
             loss: self,
             session,
@@ -127,8 +180,8 @@ impl TemporalLossFunction {
     }
 
     /// Evaluate `L` at every α of a batch through one [`LossEvaluator`]
-    /// (one PairIndex pass, one scratch set, warm-started across
-    /// adjacent probes). Bit-identical to mapping
+    /// (one engine state, one scratch set, table-served or warm-started
+    /// across adjacent probes). Bit-identical to mapping
     /// [`TemporalLossFunction::eval`] over the same grid; sorted grids
     /// warm-start best. This is the batched multi-ε API the planners'
     /// bisections are routed through.
@@ -146,8 +199,9 @@ impl TemporalLossFunction {
         self.evals.load(Ordering::Relaxed)
     }
 
-    /// The witness cached from the most recent evaluation, if any —
-    /// exposed for diagnostics and tests of the warm-start machinery.
+    /// The witness cached from the most recent sweep-served evaluation,
+    /// if any — exposed for diagnostics and tests of the warm-start
+    /// machinery. Table-served evaluations neither read nor write it.
     pub fn cached_witness(&self) -> Option<LossWitness> {
         self.warm.lock().clone()
     }
@@ -206,13 +260,14 @@ impl TemporalLossFunction {
 ///
 /// The supremum fixed-point iteration, the Algorithm 2/3 balance
 /// bisection, and the w-event planner all hold one of these per side for
-/// the whole search, so every probe after the first costs `O(n)`
-/// revalidation with zero allocation and zero lock traffic.
+/// the whole search, so every probe after the first costs one or two
+/// per-pair solves (table-served) or `O(n)` revalidation (swept), with
+/// zero allocation and zero lock traffic.
 #[derive(Debug)]
 pub struct LossEvaluator<'a> {
     loss: &'a TemporalLossFunction,
-    /// `Some` until dropped (taken in `drop` to hand the warm witness
-    /// back to the shared cache).
+    /// The evaluation state; its warm witness goes back to the shared
+    /// cache in `drop` (for functions without a piece table).
     session: EvalSession<'a>,
 }
 
@@ -240,12 +295,16 @@ impl LossEvaluator<'_> {
 }
 
 impl Drop for LossEvaluator<'_> {
-    /// Hand the final warm witness back to the shared cache and fold the
-    /// session's evaluation count into the loss function's counter.
+    /// Fold the session's evaluation count into the loss function's
+    /// counter and, for a function without a piece table, hand the final
+    /// warm witness back to the shared cache.
     fn drop(&mut self) {
         self.loss
             .evals
             .fetch_add(self.session.evals(), Ordering::Relaxed);
+        if self.session.has_table() {
+            return;
+        }
         if let Some(w) = self.session.take_warm() {
             *self.loss.warm.lock() = Some(w);
         }
@@ -253,17 +312,17 @@ impl Drop for LossEvaluator<'_> {
 }
 
 impl Clone for TemporalLossFunction {
-    /// Cloning carries the built pruning index along (it is derived purely
-    /// from the matrix) but starts with a cold witness cache and a zero
-    /// evaluation counter.
+    /// Cloning carries the built engine state along (the index and the
+    /// table are derived purely from the matrix) but starts with a cold
+    /// witness cache and a zero evaluation counter.
     fn clone(&self) -> Self {
-        let index = OnceLock::new();
-        if let Some(built) = self.index.get() {
-            let _ = index.set(built.clone());
+        let engine = OnceLock::new();
+        if let Some(built) = self.engine.get() {
+            let _ = engine.set(built.clone());
         }
         Self {
             matrix: self.matrix.clone(),
-            index,
+            engine,
             warm: Mutex::new(None),
             evals: AtomicU64::new(0),
         }
@@ -353,6 +412,85 @@ mod tests {
         assert_eq!(back, f);
         assert!(back.cached_witness().is_none());
         assert_eq!(back.eval(0.7).unwrap(), f.eval(0.7).unwrap());
+    }
+
+    /// A sticky click-stream matrix over `n` categories with uneven
+    /// popularity — a daemon-sized matrix whose index keeps `n` pairs.
+    fn click_stream(n: usize) -> TransitionMatrix {
+        let total: f64 = (1..=n).map(|r| 1.0 / r as f64).sum();
+        let rows = (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| {
+                        let stay = if i == j { 0.7 } else { 0.0 };
+                        stay + 0.3 / ((j + 1) as f64 * total)
+                    })
+                    .collect()
+            })
+            .collect();
+        TransitionMatrix::from_rows(rows).unwrap()
+    }
+
+    fn has_table(f: &TemporalLossFunction) -> Option<bool> {
+        f.engine.get().map(|e| e.table.is_some())
+    }
+
+    #[test]
+    fn two_state_functions_never_build_a_table() {
+        for rows in [
+            vec![vec![0.8, 0.2], vec![0.1, 0.9]],
+            vec![vec![0.8, 0.2], vec![0.0, 1.0]],
+            vec![vec![1.0, 0.0], vec![0.0, 1.0]],
+        ] {
+            let f = TemporalLossFunction::new(TransitionMatrix::from_rows(rows).unwrap());
+            f.eval(0.3).unwrap();
+            f.evaluator().eval(2.0).unwrap();
+            assert_eq!(has_table(&f), Some(false));
+            // ...so every evaluation sweeps through the warm cache.
+            assert!(f.cached_witness().is_some());
+        }
+    }
+
+    #[test]
+    fn click_stream_function_builds_its_table_on_first_evaluation() {
+        let f = TemporalLossFunction::new(click_stream(16));
+        assert_eq!(has_table(&f), None, "nothing is built before an evaluation");
+        let _ = f.clone();
+        assert_eq!(has_table(&f), None);
+        f.eval(0.3).unwrap();
+        assert_eq!(has_table(&f), Some(true));
+        assert_eq!(has_table(&f.clone()), Some(true), "clones carry the table");
+    }
+
+    #[test]
+    fn table_served_evaluations_leave_the_warm_cache_alone() {
+        let p = click_stream(16);
+        let f = TemporalLossFunction::new(p.clone());
+        let mut alpha = 0.05;
+        for _ in 0..20 {
+            alpha = f.eval(alpha).unwrap() + 0.05;
+        }
+        let mut ev = f.evaluator();
+        for a in [0.01, 0.4, 3.0, 31.0] {
+            let w = ev.witness(a).unwrap().clone();
+            assert_eq!(
+                w,
+                crate::alg1::temporal_loss_witness_unpruned(&p, a).unwrap()
+            );
+        }
+        drop(ev);
+        assert!(f.cached_witness().is_none());
+        assert_eq!(f.eval_count(), 24, "each served evaluation counts once");
+        // α outside the table's range sweeps, through the warm cache.
+        for a in [1e-4, 40.0, 0.0] {
+            let w = f.witness(a).unwrap();
+            assert_eq!(f.cached_witness(), Some(w.clone()), "alpha={a}");
+            assert_eq!(
+                w,
+                crate::alg1::temporal_loss_witness_unpruned(&p, a).unwrap()
+            );
+        }
+        assert_eq!(f.eval_count(), 27);
     }
 
     #[test]

@@ -358,6 +358,31 @@ fn tcp_clients_interleave_and_match_replay() {
     }
 }
 
+/// A release whose leakage recursion would evaluate `L` past
+/// `MAX_ALPHA` (where `e^α − 1` overflows to `+∞`) is refused instead of
+/// read as zero leakage. On the identity correlation `L(α) = α`, so
+/// after two releases of 400 the third evaluates `L(800)`: it must
+/// answer `ERR`, and the tenant must stay at revision 2 with TPL 800.
+#[test]
+fn release_past_the_largest_alpha_errs_and_observes_nothing() {
+    let server = Arc::new(Server::new());
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.serve_tcp(listener));
+    }
+    let mut client = Client::connect(&addr);
+    client.ok(r#"CREATE ident [{"count":1,"pb":[[1,0],[0,1]],"pf":[[1,0],[0,1]]}]"#);
+    assert_eq!(client.ok("OBSERVE ident 400"), "OK rev=1 t=1");
+    assert_eq!(client.ok("OBSERVE ident 400"), "OK rev=2 t=2");
+    let resp = client.request("OBSERVE ident 1");
+    assert!(resp.starts_with("ERR core "), "{resp}");
+    let resp = client.ok("QUERY ident tpl_series");
+    assert!(resp.starts_with("OK rev=2 "), "{resp}");
+    assert_eq!(parse_series(&resp), [800f64.to_bits(); 2]);
+}
+
 fn scratch_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
