@@ -20,10 +20,11 @@
 //! * `alg1/table/{shape}/{n}` and `alg1/sweep/{shape}/{n}` time one
 //!   64-step FPL-style chain (`α ← L(α) + ε_t`, ε cycling through the
 //!   `ceiling` mix's 0.02/0.05/0.1) at n = 16 and 32 on click-stream,
-//!   road-with-restart and dense matrices: `table` through a
-//!   [`TemporalLossFunction`] whose piece table is built, `sweep` through
-//!   [`temporal_loss_witness_indexed`] with the previous witness as warm
-//!   seed. `check_bench` gates table/sweep;
+//!   road-with-restart and dense matrices, and at n = 2 on a sticky
+//!   2-state matrix like the `fleet` mix's: `table` through a
+//!   [`TemporalLossFunction`] whose table is built (the formulas),
+//!   `sweep` through [`temporal_loss_witness_indexed`] with the previous
+//!   witness as warm seed. `check_bench` gates table/sweep;
 //! * `alg1/table-build/{shape}/{n}` times a fresh loss function's first
 //!   evaluation on the same matrices: the index build, the table build
 //!   and one table-served evaluation.
@@ -235,10 +236,15 @@ fn bench_build_matrix(c: &mut Criterion) {
 
 /// The daemon-sized shapes of the table rows, drawn like the `ceiling`
 /// mix's shards: sticky click-streams with random popularity and road
-/// networks with a 5% uniform restart; plus [`shape_matrix`]'s dense
-/// random rows.
+/// networks with a 5% uniform restart; like the `fleet` mix's shards:
+/// sticky 2-state rows `[[x, 1 − x], [1 − y, y]]`, `x, y` in thousandths
+/// from 0.5 to 0.99; plus [`shape_matrix`]'s dense random rows.
 fn table_matrix(shape: &str, n: usize, rng: &mut StdRng) -> TransitionMatrix {
     match shape {
+        "sticky" => {
+            let [x, y] = [(); 2].map(|_| f64::from(rng.gen_range(500u32..991)) / 1000.0);
+            TransitionMatrix::from_rows(vec![vec![x, 1.0 - x], vec![1.0 - y, y]]).expect("matrix")
+        }
         "clickstream" => {
             let popularity: Vec<f64> = (0..n).map(|_| rng.gen_range(0.05f64..1.0)).collect();
             let total: f64 = popularity.iter().sum();
@@ -290,6 +296,7 @@ fn bench_table(c: &mut Criterion) {
     let cases: Vec<(&str, usize, TransitionMatrix)> = ["clickstream", "roadrestart", "dense"]
         .into_iter()
         .flat_map(|shape| [16usize, 32].map(|n| (shape, n)))
+        .chain([("sticky", 2)])
         .map(|(shape, n)| (shape, n, table_matrix(shape, n, &mut rng)))
         .collect();
     let mut group = c.benchmark_group("alg1/table");

@@ -155,6 +155,7 @@ fn run_one(full_name: &str, warmup: Duration, measure: Duration, f: impl FnOnce(
                 best_ns: s.best.as_nanos() as f64,
                 worst_ns: s.worst.as_nanos() as f64,
                 iters: s.iters,
+                extra: Vec::new(),
             });
         }
         None => println!("{full_name:<48} (no measurement: body never called iter)"),
@@ -174,9 +175,20 @@ pub struct BenchResult {
     pub worst_ns: f64,
     /// Total timed iterations.
     pub iters: u64,
+    /// Named numbers a bench attached with [`annotate_last`].
+    pub extra: Vec<(String, f64)>,
 }
 
 static RESULTS: Mutex<Vec<BenchResult>> = Mutex::new(Vec::new());
+
+/// Attach a named number to the most recent measurement (e.g. a
+/// scheduler statistic the bench read around it); `--json` dumps it as
+/// an extra field of that result. A no-op before any measurement.
+pub fn annotate_last(key: &str, value: f64) {
+    if let Some(last) = RESULTS.lock().expect("results registry").last_mut() {
+        last.extra.push((key.to_string(), value));
+    }
+}
 
 /// Drain every measurement recorded so far (in run order).
 pub fn take_results() -> Vec<BenchResult> {
@@ -232,7 +244,8 @@ fn json_escape(s: &str) -> String {
 /// `param` is the trailing `/`-separated id segment when it parses as an
 /// integer (the `n`/`T` sweep parameter convention used across the
 /// workspace benches), else `null`; `group` is the id with that segment
-/// stripped. `throughput_per_s` is `1e9 / mean_ns`.
+/// stripped. `throughput_per_s` is `1e9 / mean_ns`. Numbers attached
+/// with [`annotate_last`] follow as extra fields of their result.
 pub fn write_json(bench: &str, path: &std::path::Path) -> std::io::Result<()> {
     let results = take_results();
     let mut out = String::new();
@@ -265,6 +278,9 @@ pub fn write_json(bench: &str, path: &std::path::Path) -> std::io::Result<()> {
                 0.0
             },
         ));
+        for (key, value) in &r.extra {
+            out.push_str(&format!(", \"{}\": {value}", json_escape(key)));
+        }
         out.push_str(if i + 1 == results.len() {
             " }\n"
         } else {
@@ -424,6 +440,7 @@ mod tests {
                 best_ns: 1400.0,
                 worst_ns: 1600.0,
                 iters: 2048,
+                extra: vec![("offcpu_frac".into(), 0.25)],
             },
             BenchResult {
                 id: "alg1/headline \"quoted\"".into(),
@@ -431,6 +448,7 @@ mod tests {
                 best_ns: 10.0,
                 worst_ns: 10.0,
                 iters: 1,
+                extra: Vec::new(),
             },
         ]);
         let path = std::env::temp_dir().join("criterion_compat_schema_test.json");
@@ -446,6 +464,7 @@ mod tests {
         assert!(text.contains("\\\"quoted\\\""));
         assert!(text.contains("\"mean_ns\": 1500"));
         assert!(text.contains("\"iters\": 2048"));
+        assert!(text.contains("\"offcpu_frac\": 0.25 }"));
         // (No drain assertion here: `measures_and_prints` may append to
         // the process-global registry concurrently.)
     }

@@ -1059,6 +1059,44 @@ pub(crate) fn wevent_from_value(v: &Value) -> std::result::Result<Vec<(usize, f6
 mod tests {
     use super::*;
 
+    /// Theorem 5's case-1 root near its case boundary: forward-only
+    /// `[[q, 1 − q], [d, 1 − d]]` with tiny `d` and ε just below
+    /// `ln(1/q)`, where `b = d + q·e^ε − 1 < 0` and the textbook root
+    /// `(√disc + b)/(2d)` cancelled, landing a folded FPL bound up to
+    /// ~1e-8 below the fixed point its recursion reaches. Every folded
+    /// answer is documented as an upper bound on the unfolded one, and
+    /// the unrebuilt `max_tpl` hint as one on the exact value.
+    #[test]
+    fn folded_bounds_dominate_near_theorem5_case_boundary() {
+        use rand::{Rng, SeedableRng};
+        const RELEASES: usize = 20_000;
+        for seed in 0..48u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let q: f64 = rng.gen_range(0.5..0.99);
+            let d = 10f64.powf(-rng.gen_range(3.0..12.0));
+            let eps = rng.gen_range(0.9..1.0) * (1.0 / q).ln();
+            let pf = TransitionMatrix::from_rows(vec![vec![q, 1.0 - q], vec![d, 1.0 - d]]).unwrap();
+            let ctx = format!("seed {seed}: q={q} d={d:e} eps={eps}");
+            let mut unfolded = TplAccountant::forward_only(pf.clone()).unwrap();
+            unfolded.observe_uniform(eps, RELEASES).unwrap();
+            let mut folded = TplAccountant::forward_only(pf).unwrap();
+            folded.set_horizon(Some(64)).unwrap();
+            folded.observe_uniform(eps, RELEASES).unwrap();
+            let MaxTplHint::Bound(hint) = unfolded.max_tpl_hint().unwrap() else {
+                panic!("{ctx}: a stale cache gives a bound");
+            };
+            let exact = unfolded.max_tpl().unwrap();
+            assert!(hint >= exact, "{ctx}: hint {hint} < max_tpl {exact}");
+            let (fpl, fpl_folded) = (unfolded.fpl_at(0).unwrap(), folded.fpl_at(0).unwrap());
+            assert!(fpl_folded >= fpl, "{ctx}: folded fpl {fpl_folded} < {fpl}");
+            let max_folded = folded.max_tpl().unwrap();
+            assert!(
+                max_folded >= exact,
+                "{ctx}: folded max_tpl {max_folded} < {exact}"
+            );
+        }
+    }
+
     fn fig3_matrix() -> TransitionMatrix {
         TransitionMatrix::from_rows(vec![vec![0.8, 0.2], vec![0.0, 1.0]]).unwrap()
     }

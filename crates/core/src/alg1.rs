@@ -118,8 +118,8 @@
 //! once for `x > 0`. A [`crate::TemporalLossFunction`] builds a
 //! `PieceTable` of that envelope over a fixed α range
 //! (`TABLE_ALPHA`, `[2⁻¹⁰, 32]`) on its first evaluation, and serves
-//! every α in the range from it with one or two per-pair solves instead
-//! of a sweep:
+//! every α in the range from it as a formula — the maximum of a few
+//! closed forms `(Q·x + 1)/(D·x + 1)` and one `ln` — instead of a sweep:
 //!
 //! * **Pieces.** Sweeps at both ends of the range give two winning
 //!   functions; if they differ, their crossing
@@ -143,28 +143,61 @@
 //!   pair left out of a piece's list computes an objective below the
 //!   winner's by more than float error anywhere on the piece
 //!   (`table_margin` derives `δ`). An evaluation binary-searches its
-//!   piece, solves the listed pairs and merges them through
+//!   piece, takes the listed pairs' sums (below) and merges them through
 //!   `Incumbent::beats`, so the witness equals the sweep's bit for bit
 //!   even where a breakpoint is off by some ulps or a narrow piece was
 //!   missed: no guard band and no fallback near breakpoints.
+//! * **Per-piece closed forms.** A listed pair's sums are the output of
+//!   `solve_pair_into`, and that output is fixed by its *discard
+//!   trace*: which candidates each round of the loop drops. The seed
+//!   set, every round's sums `q`, `d` and so every coefficient
+//!   `c = q_j·d − d_j·q` and `e = d_j − q_j` are α-free; only the keep
+//!   test `fl(x·c) > e` sees `x`, and rounding is monotone, so each test
+//!   flips at most once as `x` grows. By induction over the rounds, a
+//!   pair traced identically at both ends of an interval is traced
+//!   identically, and returns the same `(Q, D)` bits, everywhere in it.
+//!   (The quadratic rival test would prove the *real* optimum constant,
+//!   but not that the float loop lands on it: where the excluded
+//!   candidate's weight swamps the optimum's, their objectives agree
+//!   below an ulp.) The build therefore splits each piece where a listed
+//!   pair's trace changes — bisecting the float bits down to adjacent
+//!   floats, within `TRACE_BUDGET` traces and `MAX_SUBPIECES` per piece
+//!   — and stores each pair's `(Q, D)` per sub-piece, evaluated as
+//!   `objective_em1(Q, D, x)`. A pair whose trace still differs at a
+//!   sub-piece's ends is solved there. A closed form that a lower-id one
+//!   dominates (`Q ≥`, `D ≤`: the computed objective is monotone in
+//!   both, and the lower id wins ties) can never win the merge and is
+//!   dropped: on road networks without restart lists of up to 40 tying
+//!   pairs shrink to one to three forms.
 //! * **Range.** The range starts above 0: as α → 0 every objective
 //!   tends to 1 and no pair can be excluded by a relative margin. α
 //!   outside the range, and α = 0, take the sweep.
-//! * **Selection, from the matrix alone.** A duplicate-free index of at
-//!   most two pairs — every 2-state matrix — gets no table: a table
-//!   cannot beat a 2-pair sweep. An index too large to afford 8 pieces
-//!   under `TABLE_CAP` (`pieces × pairs`), e.g. a dense 50-state one,
-//!   gets none either, before any sweep runs, and a build whose envelope
-//!   outgrows the cap records "no table"; such functions keep sweeping.
-//!   The build streams pair by pair with one prefix buffer, so its
-//!   transient memory is `O(n + pairs)`.
+//! * **2-state tables.** A duplicate-free index of at most two pairs —
+//!   every 2-state matrix — gets no piece table but an inline one of at
+//!   most two closed forms, when each pair has a single Corollary-2
+//!   candidate: such a pair keeps its candidate at every α (its keep
+//!   test reads `x·0 > d_j − q_j`), so its sums are exact at every α,
+//!   0 included, and the table serves all of them. The loss function
+//!   then keeps only those forms, not the index (`Engine::Pairs`): the
+//!   `fleet` mix holds 32 000 such functions. A 2-state pair with two
+//!   candidates (rows that cross twice, which the row-sum tolerance
+//!   allows) gets no table.
+//! * **Selection, from the matrix alone.** An index too large to afford
+//!   8 pieces under `TABLE_CAP` (`pieces × pairs`), e.g. a dense
+//!   50-state one, gets no table, before any sweep runs, and a build
+//!   whose envelope outgrows the cap records "no table"; such functions
+//!   keep sweeping. The build streams pair by pair with one prefix
+//!   buffer, so its transient memory is `O(n + pairs)`.
 //!
 //! On the `ceiling` mix's click-stream and road-with-restart shards the
-//! table has one piece with a list of one or two pairs, builds in
-//! 0.01–0.12 ms, and serves an evaluation in about 0.2 µs, against 1–3.5 µs for
-//! the duplicate-free sweep and 13–68 µs for the sweep over all pairs.
-//! Dense 16–32-state matrices have 9–14 pieces and build in 0.5–11 ms
-//! (the sweeps at mid-range x, where neither bound prunes, dominate).
+//! table has one piece whose list shrinks to a single closed form; the
+//! index, the table and a first evaluation take 0.04–0.37 ms, and a
+//! 64-step chain costs 60–90 ns per evaluation (the `exp_m1`, one
+//! division and the `ln`), against 1–3.5 µs for the duplicate-free sweep
+//! and 13–68 µs for the sweep over all pairs. A 2-state chain takes
+//! 60–70 ns per evaluation against about 240 ns swept. Dense 16–32-state matrices have 9–14 pieces,
+//! split into 16–45 sub-pieces, and build in 0.7–12 ms (the sweeps at
+//! mid-range x, where neither bound prunes, dominate).
 //!
 //! # One sweep, and a struct-of-arrays index
 //!
@@ -339,6 +372,24 @@ fn solve_pair_into(
     s: &mut SweepScratch,
     support: Option<&[u32]>,
 ) -> (f64, f64) {
+    solve_pair_traced(q_row, d_row, em1, s, support, |_| {})
+}
+
+/// [`solve_pair_into`], reporting its discard trace: `discard(j)` for
+/// every candidate column `j` a round drops, then `discard(u32::MAX)` to
+/// close that round. The trace fixes the sequence of candidate sets the
+/// loop visits, and with it the returned sums' bits (see the module docs'
+/// per-piece closed forms). With a no-op `discard` this is exactly
+/// [`solve_pair_into`]'s loop.
+#[inline(always)]
+fn solve_pair_traced(
+    q_row: &[f64],
+    d_row: &[f64],
+    em1: f64,
+    s: &mut SweepScratch,
+    support: Option<&[u32]>,
+    mut discard: impl FnMut(u32),
+) -> (f64, f64) {
     debug_assert_eq!(q_row.len(), d_row.len());
     s.idx.clear();
     s.q.clear();
@@ -393,6 +444,8 @@ fn solve_pair_into(
                 s.q[keep] = qj;
                 s.d[keep] = dj;
                 keep += 1;
+            } else {
+                discard(s.idx[r] as u32);
             }
         }
         s.idx.truncate(keep);
@@ -401,6 +454,7 @@ fn solve_pair_into(
         if keep == before {
             return (q, d);
         }
+        discard(u32::MAX);
     }
 }
 
@@ -751,6 +805,17 @@ impl Incumbent {
             || (self.obj == other.obj && (self.q_row, self.d_row) < (other.q_row, other.d_row))
     }
 
+    /// The loss value of a finished merge: `ln` of the winner's objective,
+    /// or 0 unless it beats the empty set's 1 — [`Incumbent::into_witness`]'s
+    /// `value` without the witness.
+    fn value(&self) -> f64 {
+        if self.obj <= 1.0 {
+            0.0
+        } else {
+            self.obj.ln()
+        }
+    }
+
     /// The witness of a finished merge, given the winner's active set:
     /// the zero witness unless the winner beats the empty set's 1.
     fn into_witness(self, active: Vec<usize>) -> LossWitness {
@@ -762,7 +827,7 @@ impl Incumbent {
             d_row: self.d_row,
             q_sum: self.q_sum,
             d_sum: self.d_sum,
-            value: self.obj.ln(),
+            value: self.value(),
             active,
         }
     }
@@ -942,7 +1007,7 @@ fn eval_indexed(
         }
     }
     let best = sweep_index(matrix, index, em1, init, skip, scratch);
-    Ok(finalize_witness(matrix, index, em1, best, scratch))
+    Ok(finalize_witness(matrix, Some(index), em1, best, scratch))
 }
 
 /// Turn a sweep incumbent into a full [`LossWitness`], recovering the
@@ -950,7 +1015,7 @@ fn eval_indexed(
 /// warm-start the next evaluation.
 fn finalize_witness(
     matrix: &TransitionMatrix,
-    index: &PairIndex,
+    index: Option<&PairIndex>,
     em1: f64,
     best: Incumbent,
     scratch: &mut SweepScratch,
@@ -963,7 +1028,7 @@ fn finalize_witness(
         matrix.row(best.d_row),
         em1,
         scratch,
-        Some(index.support_of(best.q_row)),
+        index.map(|i| i.support_of(best.q_row)),
     );
     debug_assert_eq!((q, d), (best.q_sum, best.d_sum));
     // The scratch indices are *copied* (not taken) so the buffers keep
@@ -1008,6 +1073,136 @@ fn table_margin(n: usize) -> f64 {
     1024.0 * (n as f64 + 4.0) * f64::EPSILON
 }
 
+/// Most discard traces one [`PieceTable`] build may run to split its
+/// pieces where a listed pair's trace changes (see [`trace_cuts`]);
+/// pairs left over when it runs out are solved per evaluation.
+const TRACE_BUDGET: usize = 4096;
+
+/// Most sub-pieces one envelope piece may be split into for closed
+/// forms: each one stores a form per listed pair, so a pair whose trace
+/// changes more often than this on its piece is solved per evaluation.
+const MAX_SUBPIECES: usize = 64;
+
+/// One pair a table serves: its packed id and, where the pair's discard
+/// trace is provably constant, the sums `(q, d)` that [`solve_pair_into`]
+/// returns there — the pair's closed form. `q` is NaN for a pair that
+/// must be solved per evaluation.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Form {
+    id: u64,
+    q: f64,
+    d: f64,
+}
+
+impl Form {
+    /// A pair without a closed form.
+    fn solved(id: u64) -> Self {
+        Form {
+            id,
+            q: f64::NAN,
+            d: f64::NAN,
+        }
+    }
+
+    /// Pair `id`'s closed form wherever its discard trace is the one it
+    /// has at `em1`: the sums it returns there.
+    fn at(
+        matrix: &TransitionMatrix,
+        index: &PairIndex,
+        id: u64,
+        em1: f64,
+        s: &mut SweepScratch,
+    ) -> Self {
+        let (a, b) = unpack_pair(id);
+        let (q, d) = solve_pair_into(
+            matrix.row(a),
+            matrix.row(b),
+            em1,
+            s,
+            Some(index.support_of(a)),
+        );
+        Form { id, q, d }
+    }
+
+    /// Whether this closed form's computed objective is at least
+    /// `other`'s at every `x > 0` and wins their ties: a lower id with
+    /// `q ≥` and `d ≤` (`fl(q·x + 1)/fl(d·x + 1)` is monotone in both).
+    fn dominates(&self, other: &Form) -> bool {
+        self.id < other.id && self.q >= other.q && self.d <= other.d
+    }
+}
+
+/// Pair `id`'s discard trace at `em1` (see [`solve_pair_traced`]).
+fn pair_trace(
+    matrix: &TransitionMatrix,
+    index: &PairIndex,
+    id: u64,
+    em1: f64,
+    s: &mut SweepScratch,
+    trace: &mut Vec<u32>,
+) {
+    trace.clear();
+    let (a, b) = unpack_pair(id);
+    let support = Some(index.support_of(a));
+    solve_pair_traced(matrix.row(a), matrix.row(b), em1, s, support, |j| {
+        trace.push(j)
+    });
+}
+
+/// Push to `cuts` the points of `(lo, hi]` at which pair `id`'s discard
+/// trace changes, given its traces at `lo` and `hi`: each cut is the
+/// first `x` of a new trace, and the trace is constant from one cut up to
+/// the float below the next. Equal traces at both ends prove the trace
+/// constant in between (see the module docs); otherwise the interval is
+/// bisected on the float bits, down to adjacent floats. `false` once
+/// `budget` traces are spent.
+#[allow(clippy::too_many_arguments)]
+fn trace_cuts(
+    matrix: &TransitionMatrix,
+    index: &PairIndex,
+    id: u64,
+    (lo, t_lo): (f64, &[u32]),
+    (hi, t_hi): (f64, &[u32]),
+    budget: &mut usize,
+    s: &mut SweepScratch,
+    cuts: &mut Vec<f64>,
+) -> bool {
+    if t_lo == t_hi {
+        return true;
+    }
+    if hi.to_bits() - lo.to_bits() <= 1 {
+        cuts.push(hi);
+        return true;
+    }
+    if *budget == 0 {
+        return false;
+    }
+    *budget -= 1;
+    // Positive floats order like their bits.
+    let mid = f64::from_bits(lo.to_bits() + (hi.to_bits() - lo.to_bits()) / 2);
+    let mut t_mid = Vec::new();
+    pair_trace(matrix, index, id, mid, s, &mut t_mid);
+    trace_cuts(
+        matrix,
+        index,
+        id,
+        (lo, t_lo),
+        (mid, &t_mid),
+        budget,
+        s,
+        cuts,
+    ) && trace_cuts(
+        matrix,
+        index,
+        id,
+        (mid, &t_mid),
+        (hi, t_hi),
+        budget,
+        s,
+        cuts,
+    )
+}
+
 /// An exact piecewise description of `L(α)` over [`TABLE_ALPHA`] for one
 /// matrix, in `x = e^α − 1`. A piece is an x-interval on which one
 /// function `(Q·x + 1)/(D·x + 1)` wins the sweep; for each piece the table
@@ -1017,19 +1212,21 @@ fn table_margin(n: usize) -> f64 {
 /// active sets are ratio-threshold sets, so those prefixes bound every
 /// subset a pair can select, and every pair left out of a piece's list
 /// computes an objective strictly below the winner's anywhere on the
-/// piece. Serving α from the piece's list through [`Incumbent::beats`]
-/// therefore returns the sweep's witness bit for bit, whatever the
-/// precision of the breakpoints (see the module docs).
+/// piece. Pieces are split further where a listed pair's discard trace
+/// changes, so that most listed pairs hold a closed form on each
+/// sub-piece. Serving α from the sub-piece's list through
+/// [`Incumbent::beats`] therefore returns the sweep's witness bit for
+/// bit, whatever the precision of the breakpoints (see the module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct PieceTable {
     /// The covered x-range `[x_lo, x_hi]`.
     x_lo: f64,
     x_hi: f64,
-    /// Where each piece after the first starts, ascending.
+    /// Where each sub-piece after the first starts, ascending.
     cuts: Vec<f64>,
-    /// Piece `i`'s packed pair ids are `pairs[starts[i]..starts[i + 1]]`.
+    /// Sub-piece `i`'s pairs are `forms[starts[i]..starts[i + 1]]`.
     starts: Vec<u32>,
-    pairs: Vec<u64>,
+    forms: Vec<Form>,
 }
 
 /// Whether two sweep results are the same function of x: equal sums
@@ -1040,10 +1237,10 @@ fn same_function(a: &Incumbent, b: &Incumbent) -> bool {
 
 impl PieceTable {
     /// Build the table for `matrix`, or `None` when the matrix does not
-    /// qualify: an index of at most two pairs (a table cannot beat a
-    /// 2-pair sweep), more than [`TABLE_CAP`] pieces × pairs, or a piece
-    /// whose winner is not clear of the empty set's objective 1.
-    pub(crate) fn build(matrix: &TransitionMatrix, index: &PairIndex) -> Option<Self> {
+    /// qualify: an index of at most two pairs (see [`Engine`]), more than
+    /// [`TABLE_CAP`] pieces × pairs, or a piece whose winner is not clear
+    /// of the empty set's objective 1.
+    fn build(matrix: &TransitionMatrix, index: &PairIndex) -> Option<Self> {
         let pairs = index.len();
         if pairs <= 2 || pairs > TABLE_CAP / 8 {
             return None;
@@ -1091,48 +1288,180 @@ impl PieceTable {
             }
         }
         lists.sort_unstable();
-        let mut starts = Vec::with_capacity(pieces.len() + 1);
-        for p in 0..pieces.len() as u32 {
-            starts.push(lists.partition_point(|&(q, _)| q < p) as u32);
-        }
-        starts.push(lists.len() as u32);
-        Some(PieceTable {
+        let mut table = PieceTable {
             x_lo,
             x_hi,
-            cuts: pieces[1..].iter().map(|&(x, _)| x).collect(),
-            starts,
-            pairs: lists.into_iter().map(|(_, id)| id).collect(),
-        })
+            cuts: Vec::new(),
+            starts: Vec::new(),
+            forms: Vec::new(),
+        };
+        let mut budget = TRACE_BUDGET;
+        let mut ids = Vec::new();
+        for (p, &(xa, _)) in pieces.iter().enumerate() {
+            ids.clear();
+            ids.extend(
+                lists
+                    .iter()
+                    .filter(|&&(q, _)| q == p as u32)
+                    .map(|&(_, id)| id),
+            );
+            // The largest x the piece serves: pieces start at their cut.
+            let xz = pieces
+                .get(p + 1)
+                .map_or(x_hi, |&(x, _)| x.next_down().max(xa));
+            table.push_piece(matrix, index, &ids, (xa, xz), &mut budget, &mut scratch);
+        }
+        table.starts.push(table.forms.len() as u32);
+        Some(table)
     }
 
-    /// Serve `L(α)` from the piece holding `x = e^α − 1`: solve the
-    /// winner and its rivals only and merge them as the sweep does,
-    /// keeping the leader's active set as it goes.
-    /// `None` when α lies outside the covered range (the caller sweeps).
-    /// `alpha` must already have passed `check_alpha`.
-    fn witness(
-        &self,
+    /// Append the sub-pieces of one envelope piece, serving `[xa, xz]`
+    /// with the listed pairs `ids`: split where a pair's discard trace
+    /// changes (while the budgets last) and store each pair's closed form
+    /// per sub-piece, except for a pair still traced differently at some
+    /// sub-piece's two ends, which is solved. A closed form that a
+    /// lower-id closed form dominates never wins the merge and is left
+    /// out — on road networks without restart most listed pairs tie
+    /// with the winner that way.
+    fn push_piece(
+        &mut self,
         matrix: &TransitionMatrix,
         index: &PairIndex,
-        alpha: f64,
-        scratch: &mut SweepScratch,
-    ) -> Option<LossWitness> {
-        let em1 = alpha.exp_m1();
+        ids: &[u64],
+        (xa, xz): (f64, f64),
+        budget: &mut usize,
+        s: &mut SweepScratch,
+    ) {
+        let (mut ta, mut tz) = (Vec::new(), Vec::new());
+        let mut cuts = Vec::new();
+        let mut solved = vec![false; ids.len()];
+        for (k, &id) in ids.iter().enumerate() {
+            pair_trace(matrix, index, id, xa, s, &mut ta);
+            pair_trace(matrix, index, id, xz, s, &mut tz);
+            let mark = cuts.len();
+            let split = trace_cuts(
+                matrix,
+                index,
+                id,
+                (xa, &ta),
+                (xz, &tz),
+                budget,
+                s,
+                &mut cuts,
+            );
+            if !split || cuts.len() >= MAX_SUBPIECES {
+                cuts.truncate(mark);
+                solved[k] = true;
+            }
+        }
+        cuts.sort_unstable_by(f64::total_cmp);
+        cuts.dedup();
+        let mut sub = Vec::with_capacity(ids.len());
+        for (i, &x) in std::iter::once(&xa).chain(&cuts).enumerate() {
+            if i > 0 || !self.starts.is_empty() {
+                self.cuts.push(x);
+            }
+            self.starts.push(self.forms.len() as u32);
+            sub.clear();
+            sub.extend(ids.iter().zip(&solved).map(|(&id, &solved)| {
+                if solved {
+                    Form::solved(id)
+                } else {
+                    Form::at(matrix, index, id, x, s)
+                }
+            }));
+            let undominated = sub.iter().filter(|f| !sub.iter().any(|g| g.dominates(f)));
+            self.forms.extend(undominated);
+        }
+    }
+
+    /// The pairs serving `x = e^α − 1`, or `None` outside the covered
+    /// range (the caller sweeps).
+    fn forms(&self, em1: f64) -> Option<&[Form]> {
         if !(self.x_lo..=self.x_hi).contains(&em1) {
             return None;
         }
         let p = self.cuts.partition_point(|&c| c <= em1);
+        Some(&self.forms[self.starts[p] as usize..self.starts[p + 1] as usize])
+    }
+}
+
+/// The α-independent state behind one loss function's evaluations,
+/// built from the matrix alone on its first evaluation (see the module
+/// docs).
+#[derive(Debug, Clone)]
+pub(crate) enum Engine {
+    /// An index of at most two pairs with one Corollary-2 candidate each
+    /// — every 2-state matrix whose rows do not cross twice. Such a pair
+    /// always keeps its candidate, so its sums are a closed form at every
+    /// α, and these forms serve every α. Inline, and without the index
+    /// they came from, so that a 2-state loss function stays small.
+    Pairs { forms: [Form; 2], len: u8 },
+    /// The pruning index over the matrix's distinct row pairs and, when
+    /// the matrix qualifies, its piece table (boxed: a function without
+    /// one pays a null pointer).
+    Indexed {
+        index: PairIndex,
+        table: Option<Box<PieceTable>>,
+    },
+}
+
+/// How the engine answers one evaluation: `Served` from closed forms,
+/// or `Sweep` through the pruning index it hands over.
+pub(crate) enum Route<'e, T> {
+    Served(T),
+    Sweep(&'e PairIndex),
+}
+
+impl Engine {
+    /// Build the engine for `matrix`: a 2-state table when the index
+    /// qualifies, else the index and its piece table, if any.
+    pub(crate) fn build(matrix: &TransitionMatrix) -> Self {
+        let index = PairIndex::new(matrix);
+        let single = |&id: &u64| candidates(matrix, &index.support, id).nth(1).is_none();
+        if index.len() <= 2 && index.pair_ids.iter().all(single) {
+            let mut forms = [Form::solved(0); 2];
+            let mut s = SweepScratch::default();
+            for (f, &id) in forms.iter_mut().zip(&index.pair_ids) {
+                *f = Form::at(matrix, &index, id, 1.0, &mut s);
+            }
+            let len = index.len() as u8;
+            return Engine::Pairs { forms, len };
+        }
+        let table = PieceTable::build(matrix, &index).map(Box::new);
+        Engine::Indexed { index, table }
+    }
+
+    /// Whether closed forms serve (some) α: a 2-state or a piece table.
+    pub(crate) fn has_table(&self) -> bool {
+        !matches!(self, Engine::Indexed { table: None, .. })
+    }
+
+    /// Merge the pairs serving `x = e^α − 1` as the sweep does: closed
+    /// forms as they are, the rest solved. `Sweep` when no table serves
+    /// `em1`.
+    fn best(
+        &self,
+        matrix: &TransitionMatrix,
+        em1: f64,
+        s: &mut SweepScratch,
+    ) -> Route<'_, Incumbent> {
+        let (forms, index) = match self {
+            Engine::Pairs { forms, len } => (&forms[..*len as usize], None),
+            Engine::Indexed { index, table } => match table.as_ref().and_then(|t| t.forms(em1)) {
+                Some(forms) => (forms, Some(index)),
+                None => return Route::Sweep(index),
+            },
+        };
         let mut best = Incumbent::sentinel();
-        let mut active = Vec::new();
-        for &id in &self.pairs[self.starts[p] as usize..self.starts[p + 1] as usize] {
-            let (a, b) = unpack_pair(id);
-            let (q, d) = solve_pair_into(
-                matrix.row(a),
-                matrix.row(b),
-                em1,
-                scratch,
-                Some(index.support_of(a)),
-            );
+        for f in forms {
+            let (a, b) = unpack_pair(f.id);
+            let (q, d) = if f.q.is_nan() {
+                let support = index.map(|i| i.support_of(a));
+                solve_pair_into(matrix.row(a), matrix.row(b), em1, s, support)
+            } else {
+                (f.q, f.d)
+            };
             let cand = Incumbent {
                 obj: objective_em1(q, d, em1),
                 q_row: a,
@@ -1142,23 +1471,40 @@ impl PieceTable {
             };
             if cand.beats(&best) {
                 best = cand;
-                active.clear();
-                active.extend_from_slice(&scratch.idx);
             }
         }
-        Some(best.into_witness(active))
+        Route::Served(best)
     }
 
-    /// As [`PieceTable::witness`] with a scratch set of its own — the
-    /// one-call path of [`crate::TemporalLossFunction::witness`].
-    pub(crate) fn serve(
+    /// `L(α)` without a witness when closed forms serve α. `alpha` must
+    /// already have passed `check_alpha`.
+    pub(crate) fn value(&self, matrix: &TransitionMatrix, alpha: f64) -> Route<'_, f64> {
+        match self.best(matrix, alpha.exp_m1(), &mut SweepScratch::default()) {
+            Route::Served(best) => Route::Served(best.value()),
+            Route::Sweep(index) => Route::Sweep(index),
+        }
+    }
+
+    /// `L(α)` with its witness when closed forms serve α: the merge, then
+    /// one solve of the winner for its active set. `alpha` must already
+    /// have passed `check_alpha`.
+    pub(crate) fn witness(&self, matrix: &TransitionMatrix, alpha: f64) -> Route<'_, LossWitness> {
+        self.witness_into(matrix, alpha, &mut SweepScratch::default())
+    }
+
+    /// As [`Engine::witness`], through the caller's scratch set.
+    fn witness_into(
         &self,
         matrix: &TransitionMatrix,
-        index: &PairIndex,
         alpha: f64,
-    ) -> Option<LossWitness> {
-        let mut scratch = SweepScratch::with_capacity(matrix.n());
-        self.witness(matrix, index, alpha, &mut scratch)
+        s: &mut SweepScratch,
+    ) -> Route<'_, LossWitness> {
+        let em1 = alpha.exp_m1();
+        match self.best(matrix, em1, s) {
+            // The dense seed scan finds the support scan's active set.
+            Route::Served(best) => Route::Served(finalize_witness(matrix, None, em1, best, s)),
+            Route::Sweep(index) => Route::Sweep(index),
+        }
     }
 }
 
@@ -1235,17 +1581,16 @@ fn ratio_prefixes(
     }
 }
 
-/// A batched evaluation session over one `(matrix, index)` pair and,
-/// when the matrix has one, its [`PieceTable`].
+/// A batched evaluation session over one matrix and its [`Engine`].
 ///
 /// The engine's per-evaluation state — the three sweep scratch buffers
 /// and the warm-start witness — lives in the session instead of being
 /// allocated (scratch) or mutex-cloned (witness) per call, so driving a
 /// whole α grid or a long recursion through one session costs one
-/// allocation set total. α inside the table's range is served from the
-/// table; every other α sweeps, warm-started from the session's previous
-/// witness. Results are bit-identical to independent
-/// [`temporal_loss_witness_indexed`] calls: the table is exact by
+/// allocation set total. α the engine's closed forms serve is evaluated
+/// from them; every other α sweeps, warm-started from the session's
+/// previous witness. Results are bit-identical to independent
+/// [`temporal_loss_witness_indexed`] calls: the closed forms are exact by
 /// construction and the warm chain is the same behaviorally-invisible
 /// Theorem-4 revalidation.
 ///
@@ -1255,28 +1600,21 @@ fn ratio_prefixes(
 #[derive(Debug)]
 pub(crate) struct EvalSession<'a> {
     matrix: &'a TransitionMatrix,
-    index: &'a PairIndex,
-    table: Option<&'a PieceTable>,
+    engine: &'a Engine,
     scratch: SweepScratch,
     warm: Option<LossWitness>,
     evals: u64,
 }
 
 impl<'a> EvalSession<'a> {
-    /// Open a session. `index` must come from [`PairIndex::new`] on this
-    /// same `matrix` (checked by size on every sweep, as in
-    /// [`temporal_loss_witness_indexed`]), and `table` from
-    /// [`PieceTable::build`] on both.
-    pub(crate) fn new(
-        matrix: &'a TransitionMatrix,
-        index: &'a PairIndex,
-        table: Option<&'a PieceTable>,
-    ) -> Self {
+    /// Open a session. `engine` must come from [`Engine::build`] on this
+    /// same `matrix`. The scratch set grows on the first solve, so a
+    /// session the closed forms serve entirely allocates nothing.
+    pub(crate) fn new(matrix: &'a TransitionMatrix, engine: &'a Engine) -> Self {
         EvalSession {
             matrix,
-            index,
-            table,
-            scratch: SweepScratch::with_capacity(matrix.n()),
+            engine,
+            scratch: SweepScratch::default(),
             warm: None,
             evals: 0,
         }
@@ -1293,14 +1631,14 @@ impl<'a> EvalSession<'a> {
     /// (it doubles as the warm seed of the next evaluation).
     pub(crate) fn witness(&mut self, alpha: f64) -> Result<&LossWitness> {
         check_alpha(alpha)?;
-        let served = self
-            .table
-            .and_then(|t| t.witness(self.matrix, self.index, alpha, &mut self.scratch));
-        let w = match served {
-            Some(w) => w,
-            None => eval_indexed(
+        let w = match self
+            .engine
+            .witness_into(self.matrix, alpha, &mut self.scratch)
+        {
+            Route::Served(w) => w,
+            Route::Sweep(index) => eval_indexed(
                 self.matrix,
-                self.index,
+                index,
                 alpha,
                 self.warm.as_ref(),
                 &mut self.scratch,
@@ -1310,9 +1648,20 @@ impl<'a> EvalSession<'a> {
         Ok(self.warm.insert(w))
     }
 
-    /// Evaluate `L(α)`.
+    /// Evaluate `L(α)`: from the closed forms when they serve α, without
+    /// a witness, else through [`EvalSession::witness`].
     pub(crate) fn eval(&mut self, alpha: f64) -> Result<f64> {
-        self.witness(alpha).map(|w| w.value)
+        check_alpha(alpha)?;
+        match self
+            .engine
+            .best(self.matrix, alpha.exp_m1(), &mut self.scratch)
+        {
+            Route::Served(best) => {
+                self.evals += 1;
+                Ok(best.value())
+            }
+            Route::Sweep(_) => self.witness(alpha).map(|w| w.value),
+        }
     }
 
     /// Number of loss evaluations performed through this session.
@@ -1320,9 +1669,9 @@ impl<'a> EvalSession<'a> {
         self.evals
     }
 
-    /// Whether the session serves in-range α from a piece table.
+    /// Whether closed forms serve (some) α for this session.
     pub(crate) fn has_table(&self) -> bool {
-        self.table.is_some()
+        self.engine.has_table()
     }
 
     /// Take the warm witness out of a session that cannot be moved from

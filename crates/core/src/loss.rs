@@ -17,14 +17,15 @@
 //! the Algorithm 2/3 balance bisections), this type carries two caches:
 //!
 //! * the engine state, built once per matrix on first evaluation and
-//!   reused forever (it is α-independent): the [`PairIndex`] pruning
-//!   bounds over the matrix's distinct row pairs and, when the matrix
-//!   qualifies, the piece table of [`crate::alg1`], which serves every α
-//!   in its range with one or two per-pair solves. Whether a matrix gets
-//!   a table is decided from the matrix alone: a duplicate-free index of
-//!   more than two pairs whose envelope stays under the build cap (the
-//!   daemon's 16–32-state shards) gets one; 2-state matrices and large
-//!   dense ones do not;
+//!   reused forever (it is α-independent), which evaluates `L(α)` as a
+//!   formula wherever it can: the maximum of a few closed forms
+//!   `ln((Q·x + 1)/(D·x + 1))`, `x = e^α − 1` (see [`crate::alg1`]). It
+//!   is chosen from the matrix alone: a 2-state matrix (an index of at
+//!   most two single-candidate pairs) keeps just its inline closed
+//!   forms, which serve every α; any other keeps the [`PairIndex`]
+//!   pruning bounds over its distinct row pairs and, when its envelope
+//!   stays under the build cap (the daemon's 16–32-state shards), a
+//!   piece table over `α ∈ [2⁻¹⁰, 32]`; large dense matrices get none;
 //! * for evaluations the table does not serve (no table, or α outside
 //!   its range), the previous sweep's [`LossWitness`] with its active
 //!   index subset — the *warm-start invariant*: the cached witness stays
@@ -36,14 +37,17 @@
 //!   holds — the common case along a monotone leakage recursion — each
 //!   step costs `O(n)` validation plus a pruned sweep that terminates
 //!   almost immediately, instead of a fresh `O(n⁴)` scan. Table-served
-//!   evaluations neither read nor write this cache.
+//!   evaluations neither read nor write this cache, and
+//!   [`TemporalLossFunction::eval`] builds no witness for them.
 //!
 //! Both caches are behaviorally invisible: results are bit-identical to
 //! cold evaluation. They are excluded from `PartialEq` and from the
 //! serialized form (a deserialized loss function simply rebuilds them on
 //! first use).
 
-use crate::alg1::{temporal_loss_witness_indexed, EvalSession, LossWitness, PairIndex, PieceTable};
+use crate::alg1::{
+    temporal_loss_witness_indexed, Engine, EvalSession, LossWitness, PairIndex, Route,
+};
 use crate::{check_alpha, Result};
 use parking_lot::Mutex;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -77,25 +81,6 @@ pub struct TemporalLossFunction {
     evals: AtomicU64,
 }
 
-/// The α-independent state behind one loss function's evaluations.
-#[derive(Debug, Clone)]
-struct Engine {
-    /// The pruning index over the matrix's distinct row pairs.
-    index: PairIndex,
-    /// The piece table, when the matrix qualifies for one (see
-    /// [`crate::alg1`]); boxed, so a function without one pays a single
-    /// null pointer.
-    table: Option<Box<PieceTable>>,
-}
-
-impl Engine {
-    fn build(matrix: &TransitionMatrix) -> Self {
-        let index = PairIndex::new(matrix);
-        let table = PieceTable::build(matrix, &index).map(Box::new);
-        Engine { index, table }
-    }
-}
-
 impl TemporalLossFunction {
     /// Wrap a transition matrix.
     pub fn new(matrix: TransitionMatrix) -> Self {
@@ -117,9 +102,16 @@ impl TemporalLossFunction {
         self.matrix.n()
     }
 
-    /// Evaluate `L(α)` (Equations 23/24 via Algorithm 1).
+    /// Evaluate `L(α)` (Equations 23/24 via Algorithm 1). A table-served
+    /// α costs its formulas only: no witness and no lock.
     pub fn eval(&self, alpha: f64) -> Result<f64> {
-        self.witness(alpha).map(|w| w.value)
+        check_alpha(alpha)?;
+        let value = match self.engine().value(&self.matrix, alpha) {
+            Route::Served(v) => v,
+            Route::Sweep(index) => self.sweep(index, alpha)?.value,
+        };
+        self.evals.fetch_add(1, Ordering::Relaxed);
+        Ok(value)
     }
 
     /// The engine state, built on first use.
@@ -129,38 +121,32 @@ impl TemporalLossFunction {
 
     /// Evaluate `L(α)` and return the maximizing rows and subset sums.
     ///
-    /// Serves α from the piece table when the matrix has one and α lies
-    /// in its range; otherwise sweeps the cached pruning index,
-    /// warm-started from the previous sweep's witness. All of it is
-    /// transparent (results are bit-identical to a cold evaluation).
+    /// Serves α from the table when the matrix has one and α lies in its
+    /// range; otherwise sweeps the cached pruning index, warm-started from
+    /// the previous sweep's witness. All of it is transparent (results
+    /// are bit-identical to a cold evaluation).
     pub fn witness(&self, alpha: f64) -> Result<LossWitness> {
         check_alpha(alpha)?;
-        let engine = self.engine();
-        let served = engine
-            .table
-            .as_ref()
-            .and_then(|t| t.serve(&self.matrix, &engine.index, alpha));
-        let witness = match served {
-            Some(w) => w,
-            None => {
-                let warm = self.warm.lock().clone();
-                let w = temporal_loss_witness_indexed(
-                    &self.matrix,
-                    &engine.index,
-                    alpha,
-                    warm.as_ref(),
-                )?;
-                *self.warm.lock() = Some(w.clone());
-                w
-            }
+        let witness = match self.engine().witness(&self.matrix, alpha) {
+            Route::Served(w) => w,
+            Route::Sweep(index) => self.sweep(index, alpha)?,
         };
         self.evals.fetch_add(1, Ordering::Relaxed);
         Ok(witness)
     }
 
+    /// One sweep of the cached index, warm-started from and refilling the
+    /// shared witness cache.
+    fn sweep(&self, index: &PairIndex, alpha: f64) -> Result<LossWitness> {
+        let warm = self.warm.lock().clone();
+        let w = temporal_loss_witness_indexed(&self.matrix, index, alpha, warm.as_ref())?;
+        *self.warm.lock() = Some(w.clone());
+        Ok(w)
+    }
+
     /// Open a batched [`LossEvaluator`] over this loss function: it
     /// drives any number of evaluations through one private scratch set.
-    /// Without a piece table it checks the warm witness out of the shared
+    /// Without a table it checks the warm witness out of the shared
     /// cache once, chains it probe-to-probe, and checks the final witness
     /// back in when dropped; with one it leaves the shared cache alone
     /// (its out-of-range sweeps chain a session-local witness). Results
@@ -168,9 +154,8 @@ impl TemporalLossFunction {
     /// [`TemporalLossFunction::eval`] calls — only the per-call mutex
     /// round-trips and witness clones are gone.
     pub fn evaluator(&self) -> LossEvaluator<'_> {
-        let engine = self.engine();
-        let mut session = EvalSession::new(&self.matrix, &engine.index, engine.table.as_deref());
-        if engine.table.is_none() {
+        let mut session = EvalSession::new(&self.matrix, self.engine());
+        if !session.has_table() {
             session.seed(self.warm.lock().clone());
         }
         LossEvaluator {
@@ -260,14 +245,14 @@ impl TemporalLossFunction {
 ///
 /// The supremum fixed-point iteration, the Algorithm 2/3 balance
 /// bisection, and the w-event planner all hold one of these per side for
-/// the whole search, so every probe after the first costs one or two
-/// per-pair solves (table-served) or `O(n)` revalidation (swept), with
+/// the whole search, so every probe after the first costs a few closed
+/// forms (table-served) or `O(n)` revalidation (swept), with
 /// zero allocation and zero lock traffic.
 #[derive(Debug)]
 pub struct LossEvaluator<'a> {
     loss: &'a TemporalLossFunction,
     /// The evaluation state; its warm witness goes back to the shared
-    /// cache in `drop` (for functions without a piece table).
+    /// cache in `drop` (for functions without a table).
     session: EvalSession<'a>,
 }
 
@@ -296,7 +281,7 @@ impl LossEvaluator<'_> {
 
 impl Drop for LossEvaluator<'_> {
     /// Fold the session's evaluation count into the loss function's
-    /// counter and, for a function without a piece table, hand the final
+    /// counter and, for a function without a table, hand the final
     /// warm witness back to the shared cache.
     fn drop(&mut self) {
         self.loss
@@ -371,21 +356,26 @@ mod tests {
 
     #[test]
     fn warm_cache_fills_and_stays_transparent() {
-        let p = TransitionMatrix::from_rows(vec![vec![0.7, 0.3], vec![0.1, 0.9]]).unwrap();
+        // A chain whose α stays below the piece table's range (α ≤ 50ε <
+        // 2⁻¹⁰, since L(α) ≤ α), so every step sweeps through the cache.
+        const EPS: f64 = 1.5e-5;
+        let p = click_stream(16);
         let f = TemporalLossFunction::new(p.clone());
         assert!(f.cached_witness().is_none());
         // A long recursion through the cache...
-        let mut alpha = 0.05;
+        let mut alpha = EPS;
         let mut alphas = Vec::new();
         for _ in 0..50 {
-            alpha = f.eval(alpha).unwrap() + 0.05;
+            alpha = f.eval(alpha).unwrap() + EPS;
             alphas.push(alpha);
         }
+        assert_eq!(has_table(&f), Some(true));
+        assert!(alpha < 1.0 / 1024.0, "{alpha}");
         assert!(f.cached_witness().is_some());
         // ...is bit-identical to fresh cold evaluations at every step.
-        let mut cold = 0.05;
+        let mut cold = EPS;
         for (t, &warm) in alphas.iter().enumerate() {
-            cold = crate::alg1::temporal_loss(&p, cold).unwrap() + 0.05;
+            cold = crate::alg1::temporal_loss(&p, cold).unwrap() + EPS;
             assert_eq!(warm.to_bits(), cold.to_bits(), "t={t}");
         }
     }
@@ -432,23 +422,51 @@ mod tests {
     }
 
     fn has_table(f: &TemporalLossFunction) -> Option<bool> {
-        f.engine.get().map(|e| e.table.is_some())
+        f.engine.get().map(Engine::has_table)
     }
 
     #[test]
-    fn two_state_functions_never_build_a_table() {
+    fn two_state_functions_build_their_table_lazily_and_serve_the_sweeps_bits() {
+        use crate::alg1::temporal_loss_witness_unpruned as unpruned;
+        let alphas = [0.0, 1e-9, 1e-4, 0.3, 2.0, 31.9, 40.0, 700.0];
         for rows in [
             vec![vec![0.8, 0.2], vec![0.1, 0.9]],
             vec![vec![0.8, 0.2], vec![0.0, 1.0]],
             vec![vec![1.0, 0.0], vec![0.0, 1.0]],
+            vec![vec![0.7, 0.3], vec![0.7, 0.3]],
         ] {
-            let f = TemporalLossFunction::new(TransitionMatrix::from_rows(rows).unwrap());
-            f.eval(0.3).unwrap();
-            f.evaluator().eval(2.0).unwrap();
-            assert_eq!(has_table(&f), Some(false));
-            // ...so every evaluation sweeps through the warm cache.
-            assert!(f.cached_witness().is_some());
+            let p = TransitionMatrix::from_rows(rows).unwrap();
+            let f = TemporalLossFunction::new(p.clone());
+            assert_eq!(has_table(&f), None, "nothing is built before an evaluation");
+            let mut ev = f.evaluator();
+            for &a in &alphas {
+                let want = unpruned(&p, a).unwrap();
+                assert_eq!(f.eval(a).unwrap().to_bits(), want.value.to_bits(), "{p}{a}");
+                assert_eq!(
+                    ev.eval(a).unwrap().to_bits(),
+                    want.value.to_bits(),
+                    "{p}{a}"
+                );
+                assert_eq!(f.witness(a).unwrap(), want, "{p}{a}");
+                assert_eq!(ev.witness(a).unwrap(), &want, "{p}{a}");
+            }
+            drop(ev);
+            assert_eq!(has_table(&f), Some(true));
+            // The table serves every α: nothing sweeps through the cache.
+            assert!(f.cached_witness().is_none());
+            assert_eq!(f.eval_count(), 4 * alphas.len() as u64);
         }
+        // Within the row-sum tolerance both entries of a row can exceed
+        // the other row's: that pair's active set moves with α, so the
+        // function gets no table and sweeps.
+        let p = TransitionMatrix::from_rows(vec![vec![0.5 + 4e-9, 0.5 + 4e-9], vec![0.5, 0.5]])
+            .unwrap();
+        let f = TemporalLossFunction::new(p.clone());
+        for &a in &alphas {
+            assert_eq!(f.witness(a).unwrap(), unpruned(&p, a).unwrap(), "{a}");
+        }
+        assert_eq!(has_table(&f), Some(false));
+        assert!(f.cached_witness().is_some());
     }
 
     #[test]

@@ -63,9 +63,17 @@ pub fn supremum_closed_form(q: f64, d: f64, eps: f64) -> Result<Supremum> {
     }
     let e_eps = eps.exp();
     if d > 0.0 {
+        // y is the positive root of d·y² − b·y − e^ε(1 − q) = 0. For
+        // b < 0 the textbook (√disc + b)/(2d) cancels (up to ~1e-8 of the
+        // value lost at tiny d), so take the same root from the product
+        // of the roots instead: y = 2e^ε(1 − q)/(√disc − b).
         let b = d + q * e_eps - 1.0;
         let disc = 4.0 * d * e_eps * (1.0 - q) + b * b;
-        let y = (disc.sqrt() + b) / (2.0 * d);
+        let y = if b < 0.0 {
+            2.0 * e_eps * (1.0 - q) / (disc.sqrt() - b)
+        } else {
+            (disc.sqrt() + b) / (2.0 * d)
+        };
         Ok(Supremum::Finite(y.ln()))
     } else if q < 1.0 && eps < (1.0 / q).ln() {
         let y = (1.0 - q) * e_eps / (1.0 - q * e_eps);

@@ -325,7 +325,8 @@ impl Server {
     }
 }
 
-/// One connection: read request lines, write one response line each.
+/// One connection: read request lines, write one response line each,
+/// with one write call (one `sendmsg` on the unbuffered socket).
 /// Blank lines are ignored; EOF ends the session.
 fn client_loop(
     server: &Server,
@@ -337,9 +338,9 @@ fn client_loop(
         if line.trim().is_empty() {
             continue;
         }
-        output.write_all(server.handle(&line).as_bytes())?;
-        output.write_all(b"\n")?;
-        output.flush()?;
+        let mut response = server.handle(&line);
+        response.push('\n');
+        output.write_all(response.as_bytes())?;
     }
     Ok(())
 }
@@ -350,6 +351,34 @@ mod tests {
 
     const SPEC: &str =
         r#"[{"count":2,"pb":[[0.9,0.1],[0.05,0.95]],"pf":[[0.9,0.1],[0.05,0.95]]},{"count":2}]"#;
+
+    /// A sink that counts its `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn client_loop_writes_each_response_line_in_one_call() {
+        let server = Server::new();
+        let mut out = CountingWriter::default();
+        client_loop(&server, "PING\n\n  \nTENANTS\nPING".as_bytes(), &mut out).unwrap();
+        assert_eq!(out.bytes, b"OK pong\nOK tenants=0\nOK pong\n");
+        assert_eq!(out.calls, 3, "one write per response");
+    }
 
     fn ok(server: &Server, line: &str) -> String {
         let resp = server.handle(line);

@@ -109,43 +109,44 @@ impl Tenant {
     /// state is untouched and the error names the crossed scope with
     /// the projected guarantee.
     pub fn observe(&mut self, release: &Release) -> Result<Snapshot<PopulationAccountant>> {
-        let ceiling = self.ceiling.clone();
-        self.writer
-            .try_replace(|cur| -> Result<PopulationAccountant> {
-                let mut next = cur.clone();
-                match release {
-                    Release::Uniform(eps) => next.observe_release(*eps),
-                    Release::Ranges(ranges) => next.observe_release_personalized(ranges),
+        // Disjoint field borrows: the closure reads the ceiling while the
+        // writer is borrowed mutably, without a copy of it per OBSERVE.
+        let (writer, ceiling) = (&mut self.writer, &self.ceiling);
+        writer.try_replace(|cur| -> Result<PopulationAccountant> {
+            let mut next = cur.clone();
+            match release {
+                Release::Uniform(eps) => next.observe_release(*eps),
+                Release::Ranges(ranges) => next.observe_release_personalized(ranges),
+            }
+            .map_err(ServeError::Core)?;
+            if let Some(alpha) = ceiling.alpha {
+                let projected = next.max_tpl().map_err(ServeError::Core)?;
+                if projected > alpha {
+                    return Err(ServeError::CeilingExceeded {
+                        scope: CeilingScope::Event,
+                        projected,
+                        ceiling: alpha,
+                    });
                 }
-                .map_err(ServeError::Core)?;
-                if let Some(alpha) = ceiling.alpha {
-                    let projected = next.max_tpl().map_err(ServeError::Core)?;
-                    if projected > alpha {
-                        return Err(ServeError::CeilingExceeded {
-                            scope: CeilingScope::Event,
-                            projected,
-                            ceiling: alpha,
-                        });
-                    }
+            }
+            for &(w, limit) in &ceiling.windows {
+                // A window longer than the timeline has no complete
+                // window yet; it starts binding at t = w.
+                if next.num_releases() < w {
+                    continue;
                 }
-                for &(w, limit) in &ceiling.windows {
-                    // A window longer than the timeline has no complete
-                    // window yet; it starts binding at t = w.
-                    if next.num_releases() < w {
-                        continue;
-                    }
-                    let projected = next.w_event_guarantee(w).map_err(ServeError::Core)?;
-                    if projected > limit {
-                        return Err(ServeError::CeilingExceeded {
-                            scope: CeilingScope::Window(w),
-                            projected,
-                            ceiling: limit,
-                        });
-                    }
+                let projected = next.w_event_guarantee(w).map_err(ServeError::Core)?;
+                if projected > limit {
+                    return Err(ServeError::CeilingExceeded {
+                        scope: CeilingScope::Window(w),
+                        projected,
+                        ceiling: limit,
+                    });
                 }
-                Ok(next)
-            })?;
-        Ok(self.writer.snapshot())
+            }
+            Ok(next)
+        })?;
+        Ok(writer.snapshot())
     }
 }
 

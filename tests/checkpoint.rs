@@ -18,6 +18,14 @@ fn mixed() -> TransitionMatrix {
     TransitionMatrix::from_rows(vec![vec![0.85, 0.15], vec![0.1, 0.9]]).unwrap()
 }
 
+/// A 2-state matrix whose first row exceeds the second in both entries,
+/// within the row-sum tolerance. Its pair has two candidates, so the
+/// loss function gets no table and every evaluation sweeps through the
+/// warm-witness cache that checkpoints carry.
+fn swept() -> TransitionMatrix {
+    TransitionMatrix::from_rows(vec![vec![0.5 + 4e-9, 0.5 + 4e-9], vec![0.5, 0.5]]).unwrap()
+}
+
 fn to_bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
@@ -322,7 +330,7 @@ fn corrupt_checkpoints_error_honestly() {
 
 #[test]
 fn doctored_payloads_are_rejected_not_panicked() {
-    let mut acc = TplAccountant::with_both(moderate(), mixed()).unwrap();
+    let mut acc = TplAccountant::with_both(swept(), swept()).unwrap();
     acc.observe_uniform(0.1, 4).unwrap();
     acc.tpl_series().unwrap();
     let good = acc.checkpoint_binary();

@@ -342,6 +342,48 @@ proptest! {
     }
 }
 
+// Formula-served evaluation: a loss function's table evaluates L(α)
+// from closed forms `(Q·x + 1)/(D·x + 1)` wherever a pair's active set is
+// proven constant, on 2-state matrices at every α and on larger ones
+// across the piece table's range [2⁻¹⁰, 32]. The value-only path and the
+// witnesses must be the naive sweep's bits there, at the range's two
+// endpoints, and just outside it, where the warm-started sweep takes
+// over. Road networks without restart are the shape whose piece lists
+// carried tying pairs.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn formula_served_values_and_witnesses_equal_the_unpruned_sweep(
+        seed in 0u64..u64::MAX,
+        n in 2usize..=32,
+        kind in 0usize..3,
+        sparse in (2usize..=32).prop_flat_map(sparse_stochastic_matrix),
+        spread in proptest::collection::vec(0.0f64..1.0, 12),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let m = match kind {
+            0 => TransitionMatrix::random_uniform(n, &mut rng).unwrap(),
+            1 => sparse,
+            _ => roadnet_like(n, &mut rng).unwrap(),
+        };
+        let n = m.n();
+        let (lo, hi) = (1.0f64 / 1024.0, 32.0f64);
+        let mut alphas: Vec<f64> = spread.iter().map(|u| lo * (hi / lo).powf(*u)).collect();
+        alphas.extend([lo, hi, lo.next_down(), hi.next_up(), lo / 2.0, 40.0, 0.0]);
+        let loss = TemporalLossFunction::new(m.clone());
+        let mut ev = loss.evaluator();
+        for &alpha in &alphas {
+            let naive = temporal_loss_witness_unpruned(&m, alpha).unwrap();
+            let bits = naive.value.to_bits();
+            prop_assert_eq!(loss.eval(alpha).unwrap().to_bits(), bits, "n={} alpha={}\n{}", n, alpha, m);
+            prop_assert_eq!(ev.eval(alpha).unwrap().to_bits(), bits, "n={} alpha={}", n, alpha);
+            prop_assert_eq!(&loss.witness(alpha).unwrap(), &naive, "n={} alpha={}", n, alpha);
+            prop_assert_eq!(ev.witness(alpha).unwrap(), &naive, "n={} alpha={}", n, alpha);
+        }
+    }
+}
+
 // Streaming-engine invariants (PR 2): the accountant's version-stamped
 // series cache and the batched multi-ε APIs must be behaviorally
 // invisible — bit-identical to fresh recomputation — under arbitrary
